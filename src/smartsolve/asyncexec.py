@@ -26,7 +26,7 @@ from .blockspace import BlockVector, norm_sq
 from .engine import DualTable, _primal_block_update
 from .operators import OperatorFamily, aggregate
 from .sampling import SamplingLaw, TriggerGraph, draw, substream
-from .schedule import ReplayLog, ReplayRecord
+from .schedule import MAX_DELAY, ReplayLog, ReplayRecord
 
 __all__ = ["AsyncConfig", "AsyncResult", "run_async"]
 
@@ -46,8 +46,8 @@ class AsyncConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if not (0 <= self.tau_p <= 255 and 0 <= self.tau_d <= 255):
-            raise ValueError("staleness caps must lie in [0, 255]")
+        if not (0 <= self.tau_p <= MAX_DELAY and 0 <= self.tau_d <= MAX_DELAY):
+            raise ValueError(f"staleness caps must lie in [0, {MAX_DELAY}]")
 
 
 @dataclass

@@ -14,6 +14,16 @@ the dual reads come from a table that is ``e`` iterations old.  Finally, if
 the coin came up, every dual variable triggered by the sampled operator
 refreshes its sampled-block entries to the fresh evaluation at ``x_read``.
 
+Refreshes are computed only for dual states that are read.  When every
+commit of a run overwrites every supported dual entry (coin always up, every
+draw covers the supported blocks, every operator triggers the supported
+rows), a commit does not depend on the table before it, so a commit whose
+state the schedule never reads (``DelaySchedule.reads_dual_state``) is
+skipped together with the evaluations it needs.  Scheduled SVRG thus pays
+for one full refresh per cycle of its cyclic dual delay, not one per
+iteration.  A replay takes its delays from the log and never skips, yet
+reproduces such a run byte for byte.
+
 The engine is strictly single-threaded; all asynchrony is simulated through
 the delay schedule.  Runs record their draws and delays, and a recorded run
 replays bit-identically, which is the audit path for the threaded executor.
@@ -87,6 +97,12 @@ class DualSnapshot:
         return self.entries[i][j]
 
 
+def _column_sums(entries, m: int) -> tuple:
+    return tuple(
+        np.sum([row[j] for row in entries], axis=0) for j in range(m)
+    )
+
+
 class DualTable:
     """n x m table of stored operator blocks with an incrementally kept sum.
 
@@ -94,12 +110,15 @@ class DualTable:
     are never written).  Each commit produces a fresh snapshot sharing the
     untouched rows, so histories hold cheap references.  Every
     ``RESUM_EVERY`` commits the column sums are recomputed exactly and
-    checked against the maintained ones.
+    checked against the maintained ones.  A commit that writes every
+    supported entry takes the column sums exactly instead, so its snapshot
+    does not depend on the table before it.
     """
 
     def __init__(self, family: OperatorFamily, x0: BlockVector, init: str = "operator-values"):
         n, m, dims = family.n, family.m, family.layout.dims
         self.mask = family.star_pattern
+        self.supported = int(self.mask.sum())
         rows = []
         for i in range(n):
             if init == "operator-values":
@@ -113,16 +132,17 @@ class DualTable:
             else:
                 raise ValueError(f"unknown dual init {init!r}")
             rows.append(row)
-        colsums = tuple(
-            np.sum([rows[i][j] for i in range(n)], axis=0) for j in range(m)
-        )
-        self.current = DualSnapshot(tuple(rows), colsums)
+        self.current = DualSnapshot(tuple(rows), _column_sums(rows, m))
         self.commits = 0
 
     def commit(self, updates) -> DualSnapshot:
         """Apply ``(i, j, value)`` writes and return the new snapshot."""
         if not updates:
             return self.current
+        full = (
+            len(updates) >= self.supported
+            and len({(i, j) for i, j, _ in updates}) == self.supported
+        )
         entries = list(self.current.entries)
         colsums = list(self.current.colsums)
         touched_rows = {}
@@ -133,16 +153,16 @@ class DualTable:
             if row is None:
                 row = list(entries[i])
                 touched_rows[i] = row
-            colsums[j] = colsums[j] - row[j] + val
+            if not full:
+                colsums[j] = colsums[j] - row[j] + val
             row[j] = val
         for i, row in touched_rows.items():
             entries[i] = tuple(row)
         self.commits += 1
-        if self.commits % RESUM_EVERY == 0:
-            exact = [
-                np.sum([entries[i][j] for i in range(len(entries))], axis=0)
-                for j in range(len(colsums))
-            ]
+        if full:
+            colsums = _column_sums(entries, len(colsums))
+        elif self.commits % RESUM_EVERY == 0:
+            exact = _column_sums(entries, len(colsums))
             drift = max(
                 float(np.max(np.abs(a - b))) if a.size else 0.0
                 for a, b in zip(exact, colsums)
@@ -165,6 +185,8 @@ class SmartState:
     dual_table: DualTable
     k: int = 0
     rng: np.random.Generator = None
+    # (law, graph, whether every commit under them overwrites the whole table)
+    full_refresh: tuple = field(default=None, repr=False)
 
     @property
     def x(self) -> BlockVector:
@@ -196,8 +218,8 @@ def _primal_block_update(x_j, lam_over_qm, a, sblk, y_ik_j, ysum_j, n):
 def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int, blocks):
     """Values of ``y[i_k, j]`` and ``sum_i y[i, j]`` at the delayed table age.
 
-    ``e`` may be a scalar (one age for the whole table), an (n,) vector
-    (consistent per-operator ages) or an (n, m) array.
+    ``e`` is a scalar (one age for the whole table) or an (n,) vector of
+    per-operator ages, the two shapes the replay log can store.
     """
     n = state.family.n
     if np.isscalar(e) or np.ndim(e) == 0:
@@ -206,6 +228,8 @@ def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int, blocks):
             j: snap.colsums[j] for j in blocks
         }
     e = np.asarray(e)
+    if e.shape != (n,):
+        raise EngineError(f"dual delays must be a scalar or ({n},), got shape {e.shape}")
     snaps = {}
 
     def snap_at(t):
@@ -215,18 +239,29 @@ def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int, blocks):
 
     y_ik, ysum = {}, {}
     for j in blocks:
-        if e.ndim == 1:
-            y_ik[j] = snap_at(k - int(e[i_k])).entry(i_k, j)
-            total = snap_at(k - int(e[0])).entry(0, j)
-            for i in range(1, n):
-                total = total + snap_at(k - int(e[i])).entry(i, j)
-        else:
-            y_ik[j] = snap_at(k - int(e[i_k, j])).entry(i_k, j)
-            total = snap_at(k - int(e[0, j])).entry(0, j)
-            for i in range(1, n):
-                total = total + snap_at(k - int(e[i, j])).entry(i, j)
+        y_ik[j] = snap_at(k - int(e[i_k])).entry(i_k, j)
+        total = snap_at(k - int(e[0])).entry(0, j)
+        for i in range(1, n):
+            total = total + snap_at(k - int(e[i])).entry(i, j)
         ysum[j] = total
     return y_ik, ysum
+
+
+def _overwrites_whole_table(family: OperatorFamily, law: SamplingLaw, graph: TriggerGraph) -> bool:
+    """Whether every dual commit under ``law`` and ``graph`` writes every supported entry.
+
+    True when the coin always comes up, every draw contains each block
+    holding a supported entry, and every operator triggers each row holding
+    one.  Such a commit does not depend on the table before it.
+    """
+    mask = family.star_pattern
+    rows = set(np.flatnonzero(mask.any(axis=1)).tolist())
+    cols = np.flatnonzero(mask.any(axis=0))
+    return (
+        law.rho >= 1.0
+        and bool(np.all(law.q[cols] >= 1.0))
+        and all(rows.issubset(graph.triggered_by(i)) for i in range(family.n))
+    )
 
 
 def step(
@@ -238,7 +273,11 @@ def step(
     forced_draw=None,
     forced_delays=None,
 ) -> ReplayRecord:
-    """Advance one iteration in place and return its replay record."""
+    """Advance one iteration in place and return its replay record.
+
+    A commit that nothing reads is skipped (see the module docstring); its
+    dual state then repeats the last committed table.
+    """
     family = state.family
     k = state.k
     if forced_draw is not None:
@@ -280,7 +319,15 @@ def step(
             )
         state.primal_hist.push(tuple(new_row))
 
-        if eps:
+        refresh = state.full_refresh
+        if refresh is None or refresh[0] is not law or refresh[1] is not graph:
+            refresh = state.full_refresh = (
+                law, graph, _overwrites_whole_table(family, law, graph)
+            )
+        unread = (
+            refresh[2] and forced_delays is None and not sched.reads_dual_state(k + 1)
+        )
+        if eps and not unread:
             updates = []
             for i in graph.triggered_by(i_k):
                 for j in blocks:
@@ -342,6 +389,14 @@ class Trace:
 
 @dataclass
 class RunResult:
+    """Outcome of :func:`run`.
+
+    ``state.dual_table`` holds the table as of the last commit.  In a run
+    that skips unread commits (see :func:`step`) that is the table of the
+    last dual state the schedule could read, not a refresh at the final
+    iterate.
+    """
+
     x: BlockVector
     trace: Trace
     log: ReplayLog

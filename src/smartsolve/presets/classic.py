@@ -91,9 +91,11 @@ def build_svrg(
     """Variance reduction with a shared snapshot gradient.
 
     ``avg`` refreshes the whole dual table with probability 1/tau
-    (complete trigger graph); ``scheduled`` refreshes it every iteration
-    but reads it through a cyclic delay of period tau + 1, so the table
-    actually used advances once per cycle.
+    (complete trigger graph); ``scheduled`` reads it through a cyclic delay
+    of period tau + 1, so the table actually used advances once per cycle.
+    Refreshes are computed only for dual states that are read: the engine
+    skips the unread ones, so ``scheduled`` evaluates all gradients once
+    per cycle, as SVRG takes one full gradient per epoch.
     """
     from . import PresetBundle
 

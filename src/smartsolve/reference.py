@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import RESUM_EVERY
 from .sampling import SamplingLaw, TriggerGraph, draw
 
 __all__ = [
@@ -22,8 +23,6 @@ __all__ = [
     "kaczmarz_clone",
     "super_saga_compressed",
 ]
-
-RESUM_EVERY = 1000  # matches the engine's exact-resummation cadence
 
 
 def saga_clone(fs, x0, lam, law: SamplingLaw, rng, iters: int):

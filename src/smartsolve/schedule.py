@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "DelaySchedule",
     "HistoryBuffer",
+    "MAX_DELAY",
     "delayed_read",
     "inconsistency",
     "ReplayRecord",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 DELAY_MODES = ("zero", "constant-max", "cyclic", "uniform-random", "recorded")
+
+# largest delay the replay log can hold: it stores d and per-operator e as uint8
+MAX_DELAY = 255
 
 _MAGIC = b"SMRL"
 
@@ -139,7 +143,8 @@ class DelaySchedule:
     ``mode`` is one of ``zero``, ``constant-max``, ``cyclic``,
     ``uniform-random`` (independent uniform entries drawn from the delay
     sub-stream) or ``recorded`` (replays a log verbatim).  Emitted values
-    always lie in ``[0, tau_p]`` resp. ``[0, tau_d]``.
+    always lie in ``[0, tau_p]`` resp. ``[0, tau_d]``; both caps are at most
+    ``MAX_DELAY`` so that every emitted delay fits the replay log.
     """
 
     tau_p: int
@@ -155,6 +160,10 @@ class DelaySchedule:
             raise ValueError(f"unknown delay mode {self.mode!r}")
         if self.tau_p < 0 or self.tau_d < 0:
             raise ValueError("delay caps must be nonnegative")
+        if self.tau_p > MAX_DELAY or self.tau_d > MAX_DELAY:
+            raise ValueError(
+                f"delay caps must not exceed {MAX_DELAY}, the replay log's field width"
+            )
         if self.mode == "uniform-random" and self.rng is None:
             raise ValueError("uniform-random mode needs its own rng stream")
         if self.mode == "recorded" and self.log is None:
@@ -183,16 +192,19 @@ class DelaySchedule:
             return self.rng.integers(0, self.tau_d + 1, size=self.n)
         return self.log.records[k].e
 
+    def reads_dual_state(self, t: int) -> bool:
+        """Whether some iteration may read dual state ``t`` (the table after ``t`` iterations).
+
+        Only ``cyclic`` rules states out: iteration ``k`` reads state
+        ``k - k mod (tau_d + 1)``, always a multiple of ``tau_d + 1``.
+        """
+        if self.mode == "cyclic":
+            return t % (self.tau_d + 1) == 0
+        return True
+
     @classmethod
     def zero(cls, m: int = 1, n: int = 1) -> "DelaySchedule":
         return cls(tau_p=0, tau_d=0, mode="zero", m=m, n=n)
-
-    @classmethod
-    def svrg_cycle(cls, tau: int, m: int = 1, n: int = 1) -> "DelaySchedule":
-        """No primal delay, dual table age cycling through 0..tau."""
-        sched = cls(tau_p=0, tau_d=tau, mode="cyclic", m=m, n=n)
-        sched.primal_delays = lambda k: np.zeros(m, dtype=np.int64)  # type: ignore
-        return sched
 
 
 class HistoryBuffer:

@@ -5,6 +5,7 @@ import pytest
 
 from smartsolve.sampling import substream
 from smartsolve.schedule import (
+    MAX_DELAY,
     DelaySchedule,
     HistoryBuffer,
     ReplayLog,
@@ -80,6 +81,40 @@ def test_delay_bounds_respected_by_all_modes():
             assert np.all((0 <= e) & (e <= 4))
 
 
+def test_cyclic_dual_reads_are_the_states_it_declares():
+    # iteration k reads state k - k mod (tau_d + 1); exactly the multiples of
+    # tau_d + 1 are declared readable, every other mode declares all states
+    for tau_d in range(5):
+        sched = DelaySchedule(tau_p=0, tau_d=tau_d, mode="cyclic", m=1, n=3)
+        np.testing.assert_array_equal(
+            [sched.dual_delays(k) for k in range(2 * tau_d + 3)],
+            [k % (tau_d + 1) for k in range(2 * tau_d + 3)],
+        )
+        read = {k - sched.dual_delays(k) for k in range(60)}
+        declared = {t for t in range(60) if sched.reads_dual_state(t)}
+        assert read == declared == set(range(0, 60, tau_d + 1))
+    rng = substream(2, "delays")
+    for mode in ("zero", "constant-max", "uniform-random"):
+        sched = DelaySchedule(tau_p=2, tau_d=3, mode=mode, m=1, n=2,
+                              rng=rng if mode == "uniform-random" else None)
+        assert all(sched.reads_dual_state(t) for t in range(20))
+
+
+def test_delay_caps_above_log_field_width_rejected():
+    # the log stores delays as uint8: before this check a constant-max run
+    # with tau_p = 300 came back from dump/loads as d = 44
+    for tau_p, tau_d in ((MAX_DELAY + 1, 0), (0, MAX_DELAY + 1), (300, 300)):
+        with pytest.raises(ValueError, match=str(MAX_DELAY)):
+            DelaySchedule(tau_p=tau_p, tau_d=tau_d, mode="constant-max", m=2, n=1)
+    sched = DelaySchedule(tau_p=MAX_DELAY, tau_d=MAX_DELAY, mode="constant-max",
+                          m=2, n=1)
+    log = ReplayLog(m=2, n=1, tau_p=MAX_DELAY, tau_d=MAX_DELAY)
+    log.append(ReplayRecord((0,), 0, 1, sched.primal_delays(0), sched.dual_delays(0)))
+    back = ReplayLog.loads(log.dumps()).records[0]
+    np.testing.assert_array_equal(back.d, [MAX_DELAY, MAX_DELAY])
+    assert back.e == MAX_DELAY
+
+
 def test_delayed_read_rejects_over_capacity():
     buf = HistoryBuffer(2, (np.array([0.0]),))
     with pytest.raises(ValueError):
@@ -98,13 +133,6 @@ def test_inconsistency_bounded_by_cap_under_uniform_random():
                           rng=substream(4, "delays"))
     ds = [sched.primal_delays(k) for k in range(1000)]
     assert inconsistency(ds) <= 5
-
-
-def test_svrg_cycle_schedule():
-    sched = DelaySchedule.svrg_cycle(tau=3, m=1, n=4)
-    np.testing.assert_array_equal([sched.dual_delays(k) for k in range(9)],
-                                  [0, 1, 2, 3, 0, 1, 2, 3, 0])
-    assert not sched.primal_delays(7).any()
 
 
 def test_replay_log_round_trip():
