@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockspace import BlockVector, norm_sq
+from .blockspace import BlockVector
+from .diagnostics import residual
 from .engine import DualTable, _primal_block_update
-from .operators import OperatorFamily, aggregate
+from .operators import OperatorFamily
 from .sampling import SamplingLaw, TriggerGraph, draw, substream
 from .schedule import MAX_DELAY, ReplayLog, ReplayRecord
 
@@ -209,11 +210,7 @@ def _post_commit(shared: _Shared, count: int):
         shared.stopped = shared.stopped or "max-iterations"
         return
     if shared.stop_resid is not None and count % shared.config.check_every == 0:
-        res = float(
-            np.sqrt(norm_sq(shared.family.metric,
-                            aggregate(shared.family, shared.current_x())))
-        )
-        if res <= shared.stop_resid:
+        if residual(shared.family, shared.current_x()) <= shared.stop_resid:
             shared.stopped = "residual"
 
 
@@ -254,12 +251,11 @@ def run_async(
         wid, exc = shared.errors[0]
         raise WorkerFailure(f"worker {wid} aborted the run: {exc!r}") from exc
     x = shared.current_x()
-    res = float(np.sqrt(norm_sq(family.metric, aggregate(family, x))))
     return AsyncResult(
         x=x,
         log=shared.log,
         iterations=shared.commits,
-        final_residual=res,
+        final_residual=residual(family, x),
         stopped_on=shared.stopped or "max-iterations",
         max_primal_delay=shared.max_d,
         max_dual_delay=shared.max_e,

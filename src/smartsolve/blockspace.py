@@ -16,7 +16,6 @@ valid ones (tight where a closed form exists, conservative otherwise).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,10 +274,3 @@ def equivalence_constants(metric: Metric, layout: BlockLayout):
         raise DimensionError("metric was built for a different layout")
     return metric.m_lo.copy(), metric.m_hi.copy()
 
-
-def dump_layout(layout: BlockLayout) -> str:
-    return json.dumps(layout.to_json())
-
-
-def load_layout(text: str) -> BlockLayout:
-    return BlockLayout.from_json(json.loads(text))

@@ -89,7 +89,9 @@ def _build_bundle(cfg: RunConfig):
         params["lam"] = cfg.lam
     try:
         return bundle_for(cfg.preset, problem=problem, seed=cfg.seed, **params)
-    except KeyError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # unknown preset or parameter, a problem of the wrong kind, or a
+        # parameter value the builder rejects
         raise ConfigError(str(exc)) from exc
 
 
@@ -147,6 +149,19 @@ def cmd_run(args) -> int:
     try:
         if cfg.mode == "async":
             acfg = AsyncConfig(workers=workers, tau_p=cfg.tau_p, tau_d=cfg.tau_d)
+        elif cfg.mode == "delay":
+            sched = DelaySchedule(
+                tau_p=cfg.tau_p, tau_d=cfg.tau_d, mode="uniform-random",
+                m=bundle.family.m, n=bundle.family.n,
+                rng=substream(cfg.seed, "delays"),
+            )
+        else:
+            sched = bundle.schedule
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    try:
+        if cfg.mode == "async":
             ares = run_async(
                 acfg, bundle.family, bundle.law, bundle.graph, bundle.steps,
                 x0, max_iters=cfg.iters, stop_resid=cfg.stop_resid, seed=cfg.seed,
@@ -165,16 +180,6 @@ def cmd_run(args) -> int:
             result.stopped_on = ares.stopped_on
             replay_gap = float(np.max(np.abs(result.x.flat() - ares.x.flat())))
         else:
-            if cfg.mode == "delay":
-                sched = DelaySchedule(
-                    tau_p=cfg.tau_p, tau_d=cfg.tau_d, mode="uniform-random",
-                    m=bundle.family.m, n=bundle.family.n,
-                    rng=substream(cfg.seed, "delays"),
-                )
-            elif cfg.mode == "sync":
-                sched = bundle.schedule
-            else:
-                raise ConfigError(f"unknown mode {cfg.mode!r}")
             result = run(
                 x0, bundle.family, bundle.law, bundle.graph, sched, bundle.steps,
                 max_iters=cfg.iters, stop_resid=cfg.stop_resid,
@@ -185,12 +190,9 @@ def cmd_run(args) -> int:
             replay_gap = None
         if not all(np.all(np.isfinite(b)) for b in result.x.blocks):
             raise EngineError("non-finite iterate")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (EngineError, WorkerFailure, FloatingPointError, ValueError) as exc:
-        # the bundle was already validated, so a ValueError here is the
-        # engine rejecting a non-finite iterate mid-run
+        # the bundle and the schedule were already validated, so a
+        # ValueError here is the engine rejecting a non-finite iterate mid-run
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -268,12 +270,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    try:
-        bundle = bundle_for(args.preset, seed=args.seed,
-                            **_parse_params(args.param))
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    bundle = _build_bundle(RunConfig(preset=args.preset, seed=args.seed,
+                                     preset_params=_parse_params(args.param)))
     print(json.dumps(bundle.describe(), default=float, indent=1))
     return EXIT_OK
 
@@ -348,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("describe", help="print a preset's configuration")
-    d.add_argument("--preset", required=True)
+    d.add_argument("--preset", required=True, choices=sorted(PRESET_PROBLEM_KINDS))
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--param", action="append", metavar="KEY=VALUE")
     d.set_defaults(fn=cmd_describe)

@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockspace import BlockVector, norm_sq
-from .operators import OperatorFamily, aggregate
+from .blockspace import BlockVector
+from .diagnostics import residual
+from .operators import OperatorFamily
 from .sampling import SamplingLaw, TriggerGraph, draw
 from .schedule import DelaySchedule, HistoryBuffer, ReplayLog, ReplayRecord, delayed_read
 
@@ -406,10 +407,6 @@ class RunResult:
     state: SmartState = field(repr=False, default=None)
 
 
-def _residual(family: OperatorFamily, x: BlockVector) -> float:
-    return float(np.sqrt(norm_sq(family.metric, aggregate(family, x))))
-
-
 def run(
     x0: BlockVector,
     family: OperatorFamily,
@@ -442,7 +439,7 @@ def run(
     stopped_on = "max-iterations"
 
     def observe(k, rec: ReplayRecord | None):
-        res = _residual(family, state.x)
+        res = residual(family, state.x)
         dsq = None if oracle is None else float(oracle.dist_sq(state.x))
         lam = steps.value(max(k - 1, 0))
         i_k = None if rec is None else rec.op_index

@@ -3,15 +3,19 @@
 This is the glue between the problem generators and the preset builders:
 given a :class:`~smartsolve.problems.Problem`, produce a configured bundle
 whose oracle/transport targets come from the problem's recorded solution.
-The command line and the verification suites both build through here.
+``PRESET_PROBLEM_KINDS`` is the one preset registry: it maps each preset
+name to the problem kinds it accepts and the adapter that builds it.  The
+command line and the verification suites both build through here.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .blockspace import BlockLayout, BlockVector
-from .operators import AffineMonotoneMap, L1Norm, Quadratic, SquaredL2
+from .operators import AffineMonotoneMap, HalfspaceIndicator, L1Norm, Quadratic, SquaredL2
 from .presets import (
     build_coordinate_saga,
     build_finito,
@@ -30,12 +34,13 @@ from .presets import (
     build_svrg,
     build_tropic,
 )
+from .presets.structured import ShiftedProx, ShiftedSmooth
 from .problems import (
+    GENERATORS,
     ChainBlockQuadratic,
     Problem,
     equality_qp,
     fused_composite,
-    generate,
     halfspace_feasibility,
     lasso,
     lasso_terms,
@@ -47,28 +52,7 @@ from .problems import (
     tropic_parts,
 )
 
-__all__ = ["bundle_for", "default_problem_for", "PRESET_PROBLEM_KINDS"]
-
-PRESET_PROBLEM_KINDS = {
-    "saga": ("ridge", "lasso", "logistic"),
-    "svrg-avg": ("ridge", "logistic"),
-    "svrg-sched": ("ridge", "logistic"),
-    "finito": ("ridge",),
-    "sdca": ("sdca_quadratics", "ridge"),
-    "kaczmarz": ("linear_system",),
-    "projection": ("halfspace_feasibility",),
-    "prox-saga": ("lasso",),
-    "coordinate-saga": ("chain_quadratic",),
-    "minibatch-pre": ("ridge",),
-    "minibatch-post": ("ridge",),
-    "lin-saga": ("equality_qp",),
-    "super-saga": ("multi_prox",),
-    "tropic": ("tropic_instance",),
-    "prox-smart": ("fused_composite",),
-    "prox-smart-plus": ("composite_plus",),
-    "mono": ("monotone_affine",),
-    "saddle": ("saddle_quadratic",),
-}
+__all__ = ["bundle_for", "PRESET_PROBLEM_KINDS"]
 
 
 def _smooth_terms(problem: Problem):
@@ -219,126 +203,96 @@ def saddle_quadratic(dim_w: int = 4, dim_z: int = 3, N: int = 3, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# adapters: (problem, seed, **params) -> bundle
 
 
-def default_problem_for(preset: str, seed: int = 0) -> Problem | None:
-    kinds = PRESET_PROBLEM_KINDS.get(preset)
-    if not kinds:
-        raise KeyError(f"unknown preset {preset!r}")
-    kind = kinds[0]
-    try:
-        return generate(kind, seed=seed)
-    except KeyError:
-        return None  # bundle-level instance; bundle_for generates it itself
+def _over(default, adapter):
+    """Run ``adapter(problem, **params)``, on ``default(seed=seed)`` when no
+    problem is given."""
+    return lambda problem, seed, **params: adapter(problem or default(seed=seed), **params)
 
 
-def bundle_for(preset: str, problem: Problem | None = None, seed: int = 0, **params):
-    """Build the named preset over the given (or default) problem."""
-    if preset == "saga":
-        problem = problem or ridge(seed=seed)
+def _smooth(build, defaults=lambda fs: {}, **fixed):
+    """Adapter for the presets over the smooth terms of a ridge, lasso or
+    logistic problem; ``defaults(fs)`` gives parameters the caller may override."""
+    def adapter(problem, **params):
         fs, L = _smooth_terms(problem)
         mu = float(problem.oracle["mu"]) if "mu" in problem.oracle else None
-        return build_saga(fs, lipschitz=L, mu=mu, x_star=_point_oracle_vec(problem),
-                          **params)
-    if preset in ("svrg-avg", "svrg-sched"):
-        problem = problem or ridge(seed=seed)
-        fs, L = _smooth_terms(problem)
-        mu = float(problem.oracle["mu"]) if "mu" in problem.oracle else None
-        params.setdefault("tau", 4)
-        mode = {"avg": "avg", "sched": "scheduled"}[preset.split("-")[1]]
-        return build_svrg(fs, mode=mode, lipschitz=L, mu=mu,
-                          x_star=_point_oracle_vec(problem), **params)
-    if preset == "finito":
-        problem = problem or ridge(rows=8, dim=6, reg=0.4, seed=seed)
-        fs, L = _smooth_terms(problem)
-        mu_hat = min(getattr(f, "strong_convexity", 0.0) for f in fs)
-        return build_finito(fs, lipschitz=L, mu_hat=mu_hat or None,
-                            x0_star=_point_oracle_vec(problem), **params)
-    if preset == "sdca":
-        if problem is not None and problem.kind == "ridge":
-            fs, L = ridge_terms(problem)
-            mu0 = params.pop("mu0", 1.0)
-            A, b = problem.data["A"], problem.data["b"]
-            reg = float(problem.data["reg"])
-            N = A.shape[0]
-            H = A.T @ A / N + (reg + mu0) * np.eye(A.shape[1])
-            z_star = np.linalg.solve(H, A.T @ b / N)
-            return build_sdca(fs, mu0=mu0, lipschitz=L, z_star=z_star, **params)
-        fs, z_star, mu0 = sdca_quadratics(seed=seed)
-        return build_sdca(fs, mu0=mu0, z_star=z_star, **params)
-    if preset == "kaczmarz":
-        problem = problem or linear_system(seed=seed)
-        return build_kaczmarz(problem.data["A"], problem.data["b"], **params)
-    if preset == "projection":
-        problem = problem or halfspace_feasibility(seed=seed)
-        from .operators import HalfspaceIndicator
+        return build(fs, lipschitz=L, mu=mu, x_star=_point_oracle_vec(problem),
+                     **fixed, **{**defaults(fs), **params})
+    return adapter
 
-        sets = [
-            HalfspaceIndicator(a, b)
-            for a, b in zip(problem.data["normals"], problem.data["offsets"])
-        ]
-        return build_projection(
-            sets=sets, dim=problem.data["normals"].shape[1],
-            feasible_point=problem.oracle.get("interior_point"), **params,
-        )
-    if preset in ("prox-saga", "prox-svrg"):
-        problem = problem or lasso(seed=seed)
+
+def _finito(problem, **params):
+    fs, L = _smooth_terms(problem)
+    mu_hat = min(getattr(f, "strong_convexity", 0.0) for f in fs)
+    return build_finito(fs, lipschitz=L, mu_hat=mu_hat or None,
+                        x0_star=_point_oracle_vec(problem), **params)
+
+
+def _sdca(problem, seed, **params):
+    fs, z_star, mu0 = sdca_quadratics(seed=seed)
+    return build_sdca(fs, mu0=mu0, z_star=z_star, **params)
+
+
+def _kaczmarz(problem, **params):
+    return build_kaczmarz(problem.data["A"], problem.data["b"], **params)
+
+
+def _projection(problem, **params):
+    sets = [
+        HalfspaceIndicator(a, b)
+        for a, b in zip(problem.data["normals"], problem.data["offsets"])
+    ]
+    return build_projection(
+        sets=sets, dim=problem.data["normals"].shape[1],
+        feasible_point=problem.oracle.get("interior_point"), **params,
+    )
+
+
+def _lasso(variant):
+    def adapter(problem, **params):
         fs, g, L = lasso_terms(problem)
-        variant = "saga" if preset == "prox-saga" else "svrg"
         return build_prox_saga(fs, g, lipschitz=L, z_star=problem.oracle["z_star"],
                                variant=variant, **params)
-    if preset == "coordinate-saga":
-        fs, layout, Lb, s, x_star = chain_quadratic(seed=seed)
-        return build_coordinate_saga(fs, layout, Lb, sparsity=s, x_star=x_star,
-                                     **params)
-    if preset in ("minibatch-pre", "minibatch-post"):
-        problem = problem or ridge(seed=seed)
-        fs, L = _smooth_terms(problem)
-        mu = float(problem.oracle["mu"]) if "mu" in problem.oracle else None
-        mode = preset.split("-")[1]
-        if mode == "pre":
-            params.setdefault(
-                "batches", [list(range(i, min(i + 2, len(fs)))) for i in range(0, len(fs), 2)]
-            )
-        else:
-            params.setdefault("fan_in", 2)
-        return build_minibatch(fs, mode=mode, lipschitz=L, mu=mu,
-                               x_star=_point_oracle_vec(problem), **params)
-    if preset == "lin-saga":
-        problem = problem or equality_qp(seed=seed)
-        return lin_saga_from_qp(problem, **params)
-    if preset == "super-saga":
-        g_list, fs, z_star, subgrads = multi_prox(seed=seed)
-        return build_super_saga(g_list, fs, root_pair=(z_star, subgrads), **params)
-    if preset == "tropic":
-        problem = problem or tropic_instance(seed=seed)
-        return tropic_from_instance(problem, **params)
-    if preset == "prox-smart":
-        problem = problem or fused_composite(seed=seed)
-        return prox_smart_from_fused(problem, **params)
-    if preset == "prox-smart-plus":
-        g_list, fs, A_list, z_hat, subgrads = composite_plus(seed=seed)
-        delta = params.get("delta", 0.25)
-        gammas_aux = params.pop("gammas_aux", [0.12] * len(g_list))
-        budget = sum(
-            g * np.linalg.norm(A, 2) ** 2 for g, A in zip(gammas_aux, A_list)
-        ) + np.mean([f.lipschitz for f in fs]) / 2.0
-        gamma1 = params.pop("gamma1", min(0.2, 0.95 * delta / budget))
-        return build_prox_smart_plus(
-            g_list, fs, A_list, gamma1, gammas_aux,
-            root_pair=(z_hat, subgrads), **params,
-        )
-    if preset == "mono":
-        A_handle, B_list, L, mu_A, z_star = monotone_affine(seed=seed)
-        params.setdefault("gamma", min(0.3, 1.6 * mu_A / max(np.mean(L) ** 2, 1e-9)))
-        return build_mono(A_handle, B_list, L, mu_A=mu_A, root_hint=z_star, **params)
-    if preset == "saddle":
-        g1, g2, Lmat, f_list, h_list, sol = saddle_quadratic(seed=seed)
-        params.setdefault("gamma", 0.5)
-        return build_saddle(g1, g2, Lmat, f_list, h_list, mu_g1=1.0, mu_g2=1.0,
-                            root_hint=sol, **params)
-    raise KeyError(f"unknown preset {preset!r}")
+    return adapter
+
+
+def _coordinate_saga(problem, seed, **params):
+    fs, layout, Lb, s, x_star = chain_quadratic(seed=seed)
+    return build_coordinate_saga(fs, layout, Lb, sparsity=s, x_star=x_star, **params)
+
+
+def _super_saga(problem, seed, **params):
+    g_list, fs, z_star, subgrads = multi_prox(seed=seed)
+    return build_super_saga(g_list, fs, root_pair=(z_star, subgrads), **params)
+
+
+def _prox_smart_plus(problem, seed, **params):
+    g_list, fs, A_list, z_hat, subgrads = composite_plus(seed=seed)
+    delta = params.get("delta", 0.25)
+    gammas_aux = params.pop("gammas_aux", [0.12] * len(g_list))
+    budget = sum(
+        g * np.linalg.norm(A, 2) ** 2 for g, A in zip(gammas_aux, A_list)
+    ) + np.mean([f.lipschitz for f in fs]) / 2.0
+    gamma1 = params.pop("gamma1", min(0.2, 0.95 * delta / budget))
+    return build_prox_smart_plus(
+        g_list, fs, A_list, gamma1, gammas_aux,
+        root_pair=(z_hat, subgrads), **params,
+    )
+
+
+def _mono(problem, seed, **params):
+    A_handle, B_list, L, mu_A, z_star = monotone_affine(seed=seed)
+    params.setdefault("gamma", min(0.3, 1.6 * mu_A / max(np.mean(L) ** 2, 1e-9)))
+    return build_mono(A_handle, B_list, L, mu_A=mu_A, root_hint=z_star, **params)
+
+
+def _saddle(problem, seed, **params):
+    g1, g2, Lmat, f_list, h_list, sol = saddle_quadratic(seed=seed)
+    params.setdefault("gamma", 0.5)
+    return build_saddle(g1, g2, Lmat, f_list, h_list, mu_g1=1.0, mu_g2=1.0,
+                        root_hint=sol, **params)
 
 
 def lin_saga_from_qp(problem: Problem, N: int = 4, **params):
@@ -357,8 +311,6 @@ def lin_saga_from_qp(problem: Problem, N: int = 4, **params):
     g = Quadratic(center=-np.linalg.solve(Qg, c), curvature=Qg)
     fs = [Quadratic(center=np.zeros(dim), curvature=Qf) for _ in range(N)]
 
-    from .presets.structured import ShiftedProx, ShiftedSmooth, build_lin_saga
-
     shift, *_ = np.linalg.lstsq(A, b, rcond=None)
     P_V = np.eye(dim) - np.linalg.pinv(A) @ A
     shifted_g = ShiftedProx(g, shift)
@@ -375,14 +327,11 @@ def lin_saga_from_qp(problem: Problem, N: int = 4, **params):
     inner = bundle.transport
     bundle.transport = lambda x: inner(x) + shift
     bundle.transport_target = np.asarray(x_star, float).copy()
-    bundle.name = "lin-saga"
     bundle.extras["shift"] = shift
     return bundle
 
 
 def tropic_from_instance(problem: Problem, delta: float = 0.36, **params):
-    from .problems import tropic_parts
-
     g_list, f, A_list, b = tropic_parts(problem)
     M = len(g_list)
     L = f.lipschitz
@@ -415,7 +364,6 @@ def prox_smart_from_fused(problem: Problem, delta: float = 0.25, **params):
     M = rows.shape[0] + 1
     g_list = [SquaredL2(center=center, curvature=1.0)] + [L1Norm(1.0)] * (M - 1)
     A_list = [rows[i : i + 1] for i in range(rows.shape[0])]
-    sq = np.sqrt(delta)
     budget = sum(np.linalg.norm(A, 2) ** 2 for A in A_list)
     g1_gamma = 0.5
     aux = 0.95 * delta / (g1_gamma * budget)
@@ -423,3 +371,65 @@ def prox_smart_from_fused(problem: Problem, delta: float = 0.25, **params):
     root_pair = (z_star, [subs[i : i + 1] for i in range(M - 1)])
     return build_prox_smart(g_list, A_list, gammas, delta=delta,
                             root_pair=root_pair, **params)
+
+
+# ---------------------------------------------------------------------------
+# the preset registry
+
+
+def _svrg_defaults(fs):
+    return {"tau": 4}
+
+
+def _pair_batches(fs):
+    """Consecutive pairs of terms, the default batches of minibatch-pre."""
+    return {"batches": [list(range(i, min(i + 2, len(fs)))) for i in range(0, len(fs), 2)]}
+
+
+# name -> (accepted problem kinds, default first; adapter(problem, seed, **params)).
+# A kind without a generator names the instance the adapter builds itself.
+PRESET_PROBLEM_KINDS = {
+    "saga": (("ridge", "lasso", "logistic"), _over(ridge, _smooth(build_saga))),
+    "svrg-avg": (("ridge", "logistic"),
+                 _over(ridge, _smooth(build_svrg, _svrg_defaults, mode="avg"))),
+    "svrg-sched": (("ridge", "logistic"),
+                   _over(ridge, _smooth(build_svrg, _svrg_defaults, mode="scheduled"))),
+    "finito": (("ridge",), _over(partial(ridge, rows=8, dim=6, reg=0.4), _finito)),
+    "sdca": (("sdca_quadratics",), _sdca),
+    "kaczmarz": (("linear_system",), _over(linear_system, _kaczmarz)),
+    "projection": (("halfspace_feasibility",), _over(halfspace_feasibility, _projection)),
+    "prox-saga": (("lasso",), _over(lasso, _lasso("saga"))),
+    "prox-svrg": (("lasso",), _over(lasso, _lasso("svrg"))),
+    "coordinate-saga": (("chain_quadratic",), _coordinate_saga),
+    "minibatch-pre": (("ridge",),
+                      _over(ridge, _smooth(build_minibatch, _pair_batches, mode="pre"))),
+    "minibatch-post": (("ridge",), _over(ridge, _smooth(
+        build_minibatch, lambda fs: {"fan_in": 2}, mode="post"))),
+    "lin-saga": (("equality_qp",), _over(equality_qp, lin_saga_from_qp)),
+    "super-saga": (("multi_prox",), _super_saga),
+    "tropic": (("tropic_instance",), _over(tropic_instance, tropic_from_instance)),
+    "prox-smart": (("fused_composite",), _over(fused_composite, prox_smart_from_fused)),
+    "prox-smart-plus": (("composite_plus",), _prox_smart_plus),
+    "mono": (("monotone_affine",), _mono),
+    "saddle": (("saddle_quadratic",), _saddle),
+}
+
+
+def bundle_for(preset: str, problem: Problem | None = None, seed: int = 0, **params):
+    """Build the named preset over the given problem, or over its default
+    instance for ``seed``.
+
+    Raises ``KeyError`` for an unknown preset and ``ValueError`` for a
+    problem of a kind the preset does not take.
+    """
+    if preset not in PRESET_PROBLEM_KINDS:
+        raise KeyError(f"unknown preset {preset!r}; have {sorted(PRESET_PROBLEM_KINDS)}")
+    kinds, adapter = PRESET_PROBLEM_KINDS[preset]
+    accepted = [k for k in kinds if k in GENERATORS]
+    if problem is not None and problem.kind not in accepted:
+        raise ValueError(
+            f"preset {preset!r} takes problems of kind {accepted}, not {problem.kind!r}"
+        )
+    bundle = adapter(problem, seed, **params)
+    bundle.name = preset
+    return bundle

@@ -38,7 +38,6 @@ __all__ = [
     "build_prox_smart_plus",
     "build_mono",
     "build_saddle",
-    "PRESET_BUILDERS",
 ]
 
 
@@ -117,21 +116,3 @@ from .structured import (  # noqa: E402
     build_super_saga,
     build_tropic,
 )
-
-PRESET_BUILDERS = {
-    "saga": build_saga,
-    "svrg": build_svrg,
-    "finito": build_finito,
-    "sdca": build_sdca,
-    "projection": build_projection,
-    "kaczmarz": build_kaczmarz,
-    "prox-saga": build_prox_saga,
-    "coordinate-saga": build_coordinate_saga,
-    "minibatch": build_minibatch,
-    "lin-saga": build_lin_saga,
-    "super-saga": build_super_saga,
-    "tropic": build_tropic,
-    "prox-smart": build_prox_smart,
-    "prox-smart-plus": build_prox_smart_plus,
-    "mono": build_mono,
-}

@@ -340,7 +340,6 @@ def build_tropic(
         raise ValueError("delta must lie in (0, 1)")
     dims = tuple(A.shape[1] for A in A_list) + (A_list[0].shape[0],)
     layout = BlockLayout(dims)
-    dm = dims[-1]
 
     coupling = gammas[M] * sum(
         gammas[j] * np.linalg.norm(A_list[j], 2) ** 2 for j in range(M)
@@ -371,25 +370,9 @@ def build_tropic(
             v = v - gammas[j] * f.grad_block(blocks[:M], j)
         return blocks[j] - g_list[j].prox(v, gammas[j])
 
-    def s_full(xv: BlockVector) -> BlockVector:
-        return BlockVector(layout, tuple(s_block(xv, j) for j in range(M + 1)))
-
-    op = BlockOperator(layout, full=s_full, block=s_block)
-
-    total = layout.total_dim
-    P = np.zeros((total, total))
-    offs = layout.offsets()
-    for j in range(M + 1):
-        a, bb = offs[j]
-        P[a:bb, a:bb] = np.eye(dims[j]) / gammas[j]
-    am, bm = offs[M]
-    for j in range(M):
-        a, bb = offs[j]
-        P[am:bm, a:bb] = A_list[j]
-        P[a:bb, am:bm] = A_list[j].T
-    m_lo = (1.0 - sq) / gammas
-    m_hi = (1.0 + sq) / gammas
-    metric = gram_metric(layout, P, m_lo=m_lo, m_hi=m_hi)
+    op = BlockOperator(layout, block=s_block)
+    metric = _bordered_metric(layout, M, [(j, A_list[j].T) for j in range(M)],
+                              gammas, delta)
 
     if L > 0:
         beta = (L * gmax / (4.0 * gammas)).reshape(1, -1)
@@ -426,21 +409,24 @@ def build_tropic(
     )
 
 
-def _bordered_metric(layout: BlockLayout, A_list, gammas, delta):
-    """Metric for the prox-driven primal-dual presets: identity blocks over
-    the step constants with minus the coupling maps in the first border."""
+def _bordered_metric(layout: BlockLayout, border: int, couplings, gammas, delta):
+    """Metric of the primal-dual presets: identity blocks over the step
+    constants, bordered in block ``border`` by the coupling maps.
+
+    Each ``(j, C)`` in ``couplings`` puts ``C`` in block row ``j``, block
+    column ``border``, and ``C.T`` in the mirrored position.
+    """
     total = layout.total_dim
     offs = layout.offsets()
-    M = layout.m
     P = np.zeros((total, total))
-    for j in range(M):
+    for j in range(layout.m):
         a, bb = offs[j]
         P[a:bb, a:bb] = np.eye(layout.dims[j]) / gammas[j]
-    a1, b1 = offs[0]
-    for j in range(1, M):
+    a0, b0 = offs[border]
+    for j, C in couplings:
         a, bb = offs[j]
-        P[a:bb, a1:b1] = -A_list[j - 1]
-        P[a1:b1, a:bb] = -A_list[j - 1].T
+        P[a:bb, a0:b0] = C
+        P[a0:b0, a:bb] = C.T
     sq = np.sqrt(delta)
     return gram_metric(layout, P, m_lo=(1.0 - sq) / gammas, m_hi=(1.0 + sq) / gammas)
 
@@ -493,11 +479,9 @@ def build_prox_smart(
         v = blocks[j] + gammas[j] * (A_list[j - 1] @ (2.0 * xb - blocks[0]))
         return blocks[j] - conj[j].prox(v, gammas[j])
 
-    def s_full(xv: BlockVector) -> BlockVector:
-        return BlockVector(layout, tuple(s_block(xv, j) for j in range(M)))
-
-    op = BlockOperator(layout, full=s_full, block=s_block)
-    metric = _bordered_metric(layout, A_list, gammas, delta)
+    op = BlockOperator(layout, block=s_block)
+    metric = _bordered_metric(layout, 0, [(j, -A_list[j - 1]) for j in range(1, M)],
+                              gammas, delta)
     beta = ((1.0 - sq) / gammas).reshape(1, -1)
     star = np.zeros((1, M), dtype=bool)
     root = None
@@ -610,12 +594,10 @@ def build_prox_smart_plus(
         v = blocks[j] + gammas[j] * (A_list[j - 1] @ hat_x1(blocks))
         return blocks[j] - conj[j].prox(v, gammas[j])
 
-    def last_full(xv: BlockVector):
-        return BlockVector(layout, tuple(last_block(xv, j) for j in range(M)))
+    ops.append(BlockOperator(layout, block=last_block))
 
-    ops.append(BlockOperator(layout, full=last_full, block=last_block))
-
-    metric = _bordered_metric(layout, A_list, gammas, delta)
+    metric = _bordered_metric(layout, 0, [(j, -A_list[j - 1]) for j in range(1, M)],
+                              gammas, delta)
     beta = np.zeros((n, M))
     beta[:N, 0] = N * (1.0 - sq) / (2.0 * n * gamma1 * gamma1 * L)
     beta[N, :] = (1.0 - sq) / (n * gammas)

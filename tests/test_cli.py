@@ -95,6 +95,24 @@ def test_config_errors_exit_two(tmp_path):
                    str(tmp_path / "missing.json")) == EXIT_CONFIG
     # argparse-level errors also map to the config exit code
     assert run_cli("run", "--preset", "not-a-preset") == EXIT_CONFIG
+    assert run_cli("describe", "--preset", "not-a-preset") == EXIT_CONFIG
+    # a parameter the builder does not take, or a value it rejects
+    out = str(tmp_path / "out")
+    assert run_cli("run", "--preset", "saga", "--param", "foo=1",
+                   "--out", out) == EXIT_CONFIG
+    assert run_cli("describe", "--preset", "saga", "--param", "foo=1") == EXIT_CONFIG
+    assert run_cli("run", "--preset", "finito", "--param", "gamma=100",
+                   "--out", out) == EXIT_CONFIG
+    # a problem of a kind the preset does not take
+    lsys = tmp_path / "lsys.json"
+    assert run_cli("generate", "--kind", "linear_system", "--out", str(lsys)) == EXIT_OK
+    for preset in ("saga", "mono"):
+        assert run_cli("run", "--preset", preset, "--problem", str(lsys),
+                       "--out", out) == EXIT_CONFIG
+    # delay caps beyond the replay log's field width
+    for mode in ("delay", "async"):
+        assert run_cli("run", "--preset", "kaczmarz", "--mode", mode,
+                       "--tau-p", "300", "--out", out) == EXIT_CONFIG
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -14,7 +14,7 @@ import pytest
 
 from smartsolve.blockspace import BlockVector
 from smartsolve.engine import run
-from smartsolve.instances import bundle_for
+from smartsolve.instances import PRESET_PROBLEM_KINDS, bundle_for
 from smartsolve.sampling import substream
 from smartsolve.schedule import DelaySchedule
 
@@ -60,6 +60,71 @@ GOLDEN = {
         "a048d2778931e2ad8234e17e692796dfbd068a96f2c55e904407ddf4da33a4ce",
         "4d696ff93cbc5aec99eeb85cbe497fe4e12416a701135a07c8d890c21a4c7b0c",
     ),
+    # every other registered preset, zero mode only
+    ("finito", "zero"): (
+        "55e61cb31f497191dc26d5b0d7e148b439743b3c82e588282ccd230e7840ac8a",
+        "660148d0174b1dd9d53e12b14a135f140415da5ccda30a778b22f5b4cee27cf0",
+    ),
+    ("lin-saga", "zero"): (
+        "8377f034623597fd8b65c60308b23b2a702589dfdfbd1d9c3819eb1a8449fc51",
+        "0837bfe76f1fb4b78138636cf42bb5e52dcc1ec028da756f79f4aede1730a667",
+    ),
+    ("minibatch-post", "zero"): (
+        "a06f196b81169b85fea0d6ff820d67926d5d0ebf7e2536e50620fac789eafafb",
+        "24534c0ddc9c9cd4e5416ef373c3282c25f20eea0c4122f571b730b3e1ed4521",
+    ),
+    ("minibatch-pre", "zero"): (
+        "9224a1390f3208b386c94ab402789ccb1f7f0c467aa24122021a041e0d8e4638",
+        "5ba2f7a776b46fff6c930cc57a1c8758cf4de7930e95f9203a03d6b45bd47631",
+    ),
+    ("mono", "zero"): (
+        "6ca9099e5e7f63a7f1460511ac9380152da6afa413893887934278c3836c6d60",
+        "a915ede586b344ec4f4dd6d09e601c20238eb01380988796566746a86351d285",
+    ),
+    ("projection", "zero"): (
+        "245cca98e098ec11ee7023a1111e1b9de64e20ac722238ee3071d4b5f313423f",
+        "7b7daffdb571ae838f589a513f2bdecd15e79199827e65b6daace88336e34b70",
+    ),
+    ("prox-saga", "zero"): (
+        "f89aebd49116fa45490e6ab494b2a0b5611d47a23da0fe294384e2845ab1e773",
+        "d340f3cabbf32cf3d454b103353bdaa6d911b8349a5ffdbc9e216a7da8b1801e",
+    ),
+    ("prox-smart-plus", "zero"): (
+        "f7623603dbd2e6cb56ea6f28207f2d62e481ac372349d4b5f2925c465d637920",
+        "5505f93d1ebab68b4537afeaef1266414ee7419069d5e88d6e7bad91c9dc7222",
+    ),
+    ("prox-smart", "zero"): (
+        "c8d1aae8bfa9961548f3b9920268d6dbb3c34c107fbb0eeffa3c2aab29f7b67b",
+        "32f303022a7287f177fedb2d3e1b7a549ca8efd66889add1d6ad38e552ff040e",
+    ),
+    ("prox-svrg", "zero"): (
+        "46ac0447966234904cc6609b62f5fe7ea457c3f1416e9265c95ad47ea317e81e",
+        "d340f3cabbf32cf3d454b103353bdaa6d911b8349a5ffdbc9e216a7da8b1801e",
+    ),
+    ("saddle", "zero"): (
+        "261c9a7b822c665be47f7b812bf0d173e10ad0e9a4f70631bee568583c6a3bbf",
+        "1cfdc1e10b2cb29ac4857110041083c74f8463c699e684183bc94ea89998c69b",
+    ),
+    ("sdca", "zero"): (
+        "1412fc1c851c400ac3e6e63102730a68c07131a6fbbe36dcc2385413f07e72ed",
+        "5cbe00653bb1d22cf796a1420b86ab2ff11525fa94f088cacaed3a16435a5219",
+    ),
+    ("super-saga", "zero"): (
+        "e55b38fb4e48811ae8adf24347b7ce3742a1ea24ad76a8bed4f9d65f85337db4",
+        "51d2aa09c3b19f6105c16bedb9f9b6c43c0ce4f78ca6aeb619f38220fd03234f",
+    ),
+    ("svrg-avg", "zero"): (
+        "c0188e4b11262775f9b6121a04d4dd35b3868be71dc55c4a2527b5ba34fca765",
+        "aabf181aca80b8fdc30e65c5213740f04c2a175ea56d02a44ccdbde7b3a97a6d",
+    ),
+    ("svrg-sched", "zero"): (
+        "94991289a9449d4747cd0475c97a4420ce9e6b9bd2581bf4dfce08cb6e9be5e3",
+        "24534c0ddc9c9cd4e5416ef373c3282c25f20eea0c4122f571b730b3e1ed4521",
+    ),
+    ("tropic", "zero"): (
+        "12663024845b50d7ab1687d41de9c374eb57826663d20f5bf7fd9b3030101d74",
+        "32f303022a7287f177fedb2d3e1b7a549ca8efd66889add1d6ad38e552ff040e",
+    ),
 }
 
 
@@ -80,3 +145,7 @@ def _artifacts(preset, mode):
 @pytest.mark.parametrize("preset,mode", sorted(GOLDEN))
 def test_golden_trace_and_replay_bytes(preset, mode):
     assert _artifacts(preset, mode) == GOLDEN[(preset, mode)]
+
+
+def test_every_registered_preset_has_a_zero_mode_hash():
+    assert {p for p, mode in GOLDEN if mode == "zero"} == set(PRESET_PROBLEM_KINDS)
