@@ -6,7 +6,7 @@ each update.  Commits define the iteration order: the k-th commit *is*
 iteration k.  A worker's read of block j is some previously committed
 value; the executor records its age relative to the commit counter, so the
 run is described exactly by a draw-and-delay log that the deterministic
-engine replays bit-for-bit (both paths share the update arithmetic).
+engine replays bit-for-bit (both paths run the engine's iteration helpers).
 
 Staleness is capped by back-pressure: a commit whose reads are older than
 the caps is rejected and the worker re-reads and re-evaluates.  Dual reads
@@ -24,7 +24,7 @@ import numpy as np
 
 from .blockspace import BlockVector
 from .diagnostics import residual
-from .engine import DualTable, _primal_block_update
+from .engine import DualTable, _apply, _plan
 from .operators import OperatorFamily
 from .sampling import SamplingLaw, TriggerGraph, draw, substream
 from .schedule import MAX_DELAY, ReplayLog, ReplayRecord
@@ -91,9 +91,10 @@ class _Shared:
         return BlockVector(self.family.layout, tuple(c[1] for c in self.cells))
 
 
-def _read_snapshot(shared: _Shared):
-    """Lock-free read: per-block values with the freshest state index each
-    is known to be valid for, plus one dual-table snapshot."""
+def _read_snapshot(shared: _Shared, needed):
+    """Lock-free read: per-block state indices (the freshest state each value
+    is known to be valid for), the ``needed`` evaluations at the read point,
+    and one dual-table snapshot with its state index."""
     versions = np.empty(shared.family.m, dtype=np.int64)
     values = []
     for j in range(shared.family.m):
@@ -110,27 +111,13 @@ def _read_snapshot(shared: _Shared):
     dcell = shared.dual_cell
     c2 = shared.commits
     dual_version = max(dcell[0], c2) if shared.dual_cell is dcell else dcell[0]
-    return versions, values, dual_version, dcell[1]
-
-
-def _evaluate(shared: _Shared, blocks, i_k, eps, values):
-    """Operator evaluations this iteration will need, done outside the lock."""
-    family = shared.family
-    x_read = BlockVector(family.layout, tuple(values))
-    evals = {}
-    for j in blocks:
-        evals[(i_k, j)] = family.ops[i_k].block(x_read, j)
-    if eps:
-        for i in shared.graph.triggered_by(i_k):
-            for j in blocks:
-                if family.star_pattern[i, j] and (i, j) not in evals:
-                    evals[(i, j)] = family.ops[i].block(x_read, j)
-    return evals
+    x_read = BlockVector(shared.family.layout, tuple(values))
+    evals = {(i, j): shared.family.ops[i].block(x_read, j) for i, j in needed}
+    return versions, evals, dual_version, dcell[1]
 
 
 def _worker(shared: _Shared, wid: int, rng):
     family, law, graph = shared.family, shared.law, shared.graph
-    n, m = family.n, family.m
     cfg = shared.config
     try:
         while True:
@@ -144,60 +131,44 @@ def _worker(shared: _Shared, wid: int, rng):
                     k = shared.commits
                     shared.commits = k + 1
                     shared.log.append(ReplayRecord((), None, int(eps),
-                                                   np.zeros(m, dtype=np.int64), 0))
+                                                   np.zeros(family.m, dtype=np.int64), 0))
                     _post_commit(shared, k + 1)
                 continue
 
+            needed, write_at = _plan(family, graph, blocks, i_k, eps)
             attempts = 0
             while True:
-                versions, values, dual_version, snap = _read_snapshot(shared)
-                evals = _evaluate(shared, blocks, i_k, eps, values)
+                read = _read_snapshot(shared, needed)
                 serialize = attempts >= cfg.retry_serialized_after
                 with shared.lock:
                     if shared.stopped is not None:
                         return
                     if serialize:
                         # guaranteed-fresh path after repeated rejections
-                        versions, values, dual_version, snap = _read_snapshot(shared)
-                        evals = _evaluate(shared, blocks, i_k, eps, values)
+                        read = _read_snapshot(shared, needed)
+                    versions, evals, dual_version, snap = read
                     k = shared.commits
                     d = k - versions
                     e = k - dual_version
                     if d.max(initial=0) > cfg.tau_p or e > cfg.tau_d:
                         attempts += 1
-                        continue_outer = True
-                    else:
-                        continue_outer = False
-                        lam = shared.steps.value(k)
-                        for j in blocks:
-                            p_ij = law.p[i_k, j]
-                            a = 1.0 / (n * p_ij)
-                            lam_over_qm = lam / (law.q[j] * m)
-                            cur = shared.cells[j][1]
-                            new = _primal_block_update(
-                                cur, lam_over_qm, a, evals[(i_k, j)],
-                                snap.entry(i_k, j), snap.colsums[j], n,
-                            )
-                            shared.cells[j] = (k + 1, new)
-                        if eps:
-                            updates = []
-                            for i in graph.triggered_by(i_k):
-                                for j in blocks:
-                                    if family.star_pattern[i, j]:
-                                        updates.append((i, j, evals[(i, j)]))
-                            if updates:
-                                shared.dual_cell = (k + 1, shared.table.commit(updates))
-                        shared.commits = k + 1
-                        dmax = int(d.max(initial=0))
-                        shared.max_d = max(shared.max_d, dmax)
-                        shared.max_e = max(shared.max_e, int(e))
-                        shared.log.append(
-                            ReplayRecord(tuple(blocks), i_k, int(eps),
-                                         d.astype(np.int64), int(e))
-                        )
-                        _post_commit(shared, k + 1)
-                if not continue_outer:
-                    break
+                        continue
+                    new_row, writes = _apply(
+                        family, law, [c[1] for c in shared.cells], blocks, i_k, evals,
+                        snap.entries[i_k], snap.colsums, shared.steps.value(k), write_at,
+                    )
+                    for j in blocks:
+                        shared.cells[j] = (k + 1, new_row[j])
+                    if writes:
+                        shared.dual_cell = (k + 1, shared.table.commit(writes))
+                    shared.commits = k + 1
+                    shared.max_d = max(shared.max_d, int(d.max(initial=0)))
+                    shared.max_e = max(shared.max_e, int(e))
+                    shared.log.append(
+                        ReplayRecord(tuple(blocks), i_k, int(eps), d.astype(np.int64), int(e))
+                    )
+                    _post_commit(shared, k + 1)
+                break
     except Exception as exc:  # noqa: BLE001 - worker panic aborts the run
         with shared.lock:
             shared.errors.append((wid, exc))

@@ -103,7 +103,11 @@ def cmd_generate(args) -> int:
         return EXIT_CONFIG
     if args.seed is not None:
         params["seed"] = args.seed
-    problem = generate(args.kind, **params)
+    try:
+        problem = generate(args.kind, **params)
+    except (TypeError, ValueError) as exc:
+        # a parameter the generator does not take, or a value it rejects
+        raise ConfigError(str(exc)) from exc
     save_problem(problem, args.out)
     print(json.dumps({"kind": problem.kind, "written": str(args.out),
                       "oracle_keys": sorted(problem.oracle)}))
@@ -144,9 +148,8 @@ def cmd_run(args) -> int:
 
     x0 = BlockVector.zeros(bundle.family.layout)
     env_cap = os.environ.get("SMART_THREADS")
-    workers = cfg.workers if env_cap is None else min(cfg.workers, int(env_cap))
-
     try:
+        workers = cfg.workers if env_cap is None else min(cfg.workers, int(env_cap))
         if cfg.mode == "async":
             acfg = AsyncConfig(workers=workers, tau_p=cfg.tau_p, tau_d=cfg.tau_d)
         elif cfg.mode == "delay":

@@ -210,14 +210,9 @@ def init_state(
     return SmartState(family, primal, dual, table, k=0, rng=rng)
 
 
-def _primal_block_update(x_j, lam_over_qm, a, sblk, y_ik_j, ysum_j, n):
-    # shared by the deterministic engine and the threaded executor; replay
-    # fidelity depends on both paths running this exact expression
-    return x_j - lam_over_qm * (a * sblk - a * y_ik_j + ysum_j / n)
-
-
 def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int, blocks):
-    """Values of ``y[i_k, j]`` and ``sum_i y[i, j]`` at the delayed table age.
+    """Values of ``y[i_k, j]`` and ``sum_i y[i, j]`` at the delayed table age,
+    each indexed by the drawn block ``j``.
 
     ``e`` is a scalar (one age for the whole table) or an (n,) vector of
     per-operator ages, the two shapes the replay log can store.
@@ -225,9 +220,7 @@ def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int, blocks):
     n = state.family.n
     if np.isscalar(e) or np.ndim(e) == 0:
         snap = state.dual_hist.read(k - int(e))
-        return {j: snap.entry(i_k, j) for j in blocks}, {
-            j: snap.colsums[j] for j in blocks
-        }
+        return snap.entries[i_k], snap.colsums
     e = np.asarray(e)
     if e.shape != (n,):
         raise EngineError(f"dual delays must be a scalar or ({n},), got shape {e.shape}")
@@ -265,6 +258,42 @@ def _overwrites_whole_table(family: OperatorFamily, law: SamplingLaw, graph: Tri
     )
 
 
+def _plan(family: OperatorFamily, graph: TriggerGraph, blocks, i_k: int, commit):
+    """The ``(i, j)`` block evaluations one iteration uses, each listed once,
+    and the dual entries its commit writes, in write order.
+
+    The drawn operator on every drawn block feeds the primal update.  A
+    commit (none unless ``commit``) writes every entry on the drawn blocks
+    that the drawn operator triggers and the zero pattern supports.
+    """
+    needed = [(i_k, j) for j in blocks]
+    if not commit:
+        return needed, []
+    star = family.star_pattern
+    write_at = [(i, j) for i in graph.triggered_by(i_k) for j in blocks if star[i, j]]
+    return list(dict.fromkeys(needed + write_at)), write_at
+
+
+def _apply(family: OperatorFamily, law: SamplingLaw, cur, blocks, i_k: int, evals,
+           y_ik, ysum, lam: float, write_at):
+    """The new primal row and the ``(i, j, value)`` dual writes of one iteration.
+
+    ``evals`` holds the evaluations :func:`_plan` lists, at the read point,
+    and ``y_ik[j]``/``ysum[j]`` the dual reads of block ``j``.  The engine and
+    the threaded executor both run this, so a threaded run replays exactly.
+    """
+    n, m = family.n, family.m
+    new_row = list(cur)
+    for j in blocks:
+        p_ij = law.p[i_k, j]
+        if p_ij <= 0.0:
+            raise EngineError(f"drawn operator {i_k} has zero conditional mass in block {j}")
+        a = 1.0 / (n * p_ij)
+        lam_over_qm = lam / (law.q[j] * m)
+        new_row[j] = cur[j] - lam_over_qm * (a * evals[i_k, j] - a * y_ik[j] + ysum[j] / n)
+    return new_row, [(i, j, evals[i, j]) for i, j in write_at]
+
+
 def step(
     state: SmartState,
     law: SamplingLaw,
@@ -294,32 +323,8 @@ def step(
     cur = state.primal_hist.latest()
 
     if blocks:
-        x_read_blocks = delayed_read(state.primal_hist, k, d)
-        x_read = BlockVector(family.layout, x_read_blocks)
+        x_read = BlockVector(family.layout, delayed_read(state.primal_hist, k, d))
         y_ik, ysum = _resolve_dual_reads(state, k, e, i_k, blocks)
-
-        evals = {}
-
-        def s_block(i, j):
-            if (i, j) not in evals:
-                evals[(i, j)] = family.ops[i].block(x_read, j)
-            return evals[(i, j)]
-
-        n, m = family.n, family.m
-        new_row = list(cur)
-        for j in blocks:
-            p_ij = law.p[i_k, j]
-            if p_ij <= 0.0:
-                raise EngineError(
-                    f"drawn operator {i_k} has zero conditional mass in block {j}"
-                )
-            a = 1.0 / (n * p_ij)
-            lam_over_qm = lam / (law.q[j] * m)
-            new_row[j] = _primal_block_update(
-                cur[j], lam_over_qm, a, s_block(i_k, j), y_ik[j], ysum[j], n
-            )
-        state.primal_hist.push(tuple(new_row))
-
         refresh = state.full_refresh
         if refresh is None or refresh[0] is not law or refresh[1] is not graph:
             refresh = state.full_refresh = (
@@ -328,16 +333,13 @@ def step(
         unread = (
             refresh[2] and forced_delays is None and not sched.reads_dual_state(k + 1)
         )
-        if eps and not unread:
-            updates = []
-            for i in graph.triggered_by(i_k):
-                for j in blocks:
-                    if family.star_pattern[i, j]:
-                        updates.append((i, j, s_block(i, j)))
-            snap = state.dual_table.commit(updates)
-            state.dual_hist.push(snap)
-        else:
-            state.dual_hist.push(state.dual_table.current)
+        commit = eps and not unread
+        needed, write_at = _plan(family, graph, blocks, i_k, commit)
+        evals = {(i, j): family.ops[i].block(x_read, j) for i, j in needed}
+        new_row, writes = _apply(family, law, cur, blocks, i_k, evals, y_ik, ysum, lam, write_at)
+        state.primal_hist.push(tuple(new_row))
+        table = state.dual_table
+        state.dual_hist.push(table.commit(writes) if commit else table.current)
     else:
         # legal empty draw: the iteration counts but nothing moves
         state.primal_hist.push(cur)

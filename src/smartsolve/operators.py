@@ -51,12 +51,8 @@ __all__ = [
     "ZeroFunction",
     "L1Norm",
     "SquaredL2",
-    "BoxIndicator",
-    "HyperplaneIndicator",
     "HalfspaceIndicator",
     "MoreauConjugate",
-    "SubdifferentialMap",
-    "NormalConeMap",
     "AffineMonotoneMap",
     "SaddleProxMap",
 ]
@@ -378,46 +374,6 @@ class SquaredL2:
         return float(np.linalg.norm(np.asarray(target) - self.grad(z)))
 
 
-class BoxIndicator:
-    """Indicator of the box [lo, hi]; prox is the clip projection."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=np.float64)
-        self.hi = np.asarray(hi, dtype=np.float64)
-        if np.any(self.lo > self.hi):
-            raise ValueError("empty box")
-
-    def value(self, z):
-        z = np.asarray(z)
-        inside = np.all(z >= self.lo - 1e-12) and np.all(z <= self.hi + 1e-12)
-        return 0.0 if inside else np.inf
-
-    def prox(self, v, gamma=None):
-        return np.clip(np.asarray(v, dtype=np.float64), self.lo, self.hi)
-
-    project = prox
-
-
-class HyperplaneIndicator:
-    """Indicator of {z : <a, z> = b}; prox is the orthogonal projection."""
-
-    def __init__(self, a, b):
-        self.a = np.asarray(a, dtype=np.float64)
-        self.b = float(b)
-        self._nrm2 = float(self.a @ self.a)
-        if self._nrm2 == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-
-    def value(self, z):
-        return 0.0 if abs(float(self.a @ z) - self.b) <= 1e-10 else np.inf
-
-    def prox(self, v, gamma=None):
-        v = np.asarray(v, dtype=np.float64)
-        return v + ((self.b - float(self.a @ v)) / self._nrm2) * self.a
-
-    project = prox
-
-
 class HalfspaceIndicator:
     """Indicator of {z : <a, z> <= b}; prox projects only from outside."""
 
@@ -493,26 +449,6 @@ def subgradient_projector(f_value, f_subgrad, layout: BlockLayout) -> BlockOpera
 
 # ---------------------------------------------------------------------------
 # resolvents
-
-
-class SubdifferentialMap:
-    """A = subdifferential of a catalog function; resolvent is its prox."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def resolvent(self, v, gamma):
-        return self.g.prox(v, gamma)
-
-
-class NormalConeMap:
-    """A = normal cone of a convex set; resolvent is the projection."""
-
-    def __init__(self, projector):
-        self.projector = projector
-
-    def resolvent(self, v, gamma):
-        return self.projector.project(v)
 
 
 class AffineMonotoneMap:

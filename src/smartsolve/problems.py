@@ -39,7 +39,6 @@ __all__ = [
     "equality_qp",
     "fused_composite",
     "tropic_instance",
-    "SeparableBlockQuadratic",
     "ChainBlockQuadratic",
     "QuadraticCoupling",
     "lasso_cd_oracle",
@@ -323,23 +322,6 @@ def tropic_parts(problem: Problem):
 
 # ---------------------------------------------------------------------------
 # smooth handles over block spaces
-
-
-class SeparableBlockQuadratic:
-    """f(x) = sum_j (a_j/2)|x_j - c_j|^2 over the blocks of a layout."""
-
-    def __init__(self, centers, curvatures):
-        self.parts = [Quadratic(c, a) for c, a in zip(centers, curvatures)]
-        self.block_lipschitz = np.array([p.lipschitz for p in self.parts])
-
-    def grad_full(self, blocks):
-        return [p.grad(b) for p, b in zip(self.parts, blocks)]
-
-    def grad_block(self, blocks, j):
-        return self.parts[j].grad(blocks[j])
-
-    def value(self, blocks):
-        return sum(p.value(b) for p, b in zip(self.parts, blocks))
 
 
 class ChainBlockQuadratic:

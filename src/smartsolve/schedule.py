@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "DelaySchedule",
     "HistoryBuffer",
+    "MAX_BLOCKS",
     "MAX_DELAY",
     "delayed_read",
     "inconsistency",
@@ -35,6 +36,8 @@ DELAY_MODES = ("zero", "constant-max", "cyclic", "uniform-random", "recorded")
 
 # largest delay the replay log can hold: it stores d and per-operator e as uint8
 MAX_DELAY = 255
+# most blocks the replay log can index: it stores block indices as uint16
+MAX_BLOCKS = 65535
 
 _MAGIC = b"SMRL"
 
@@ -59,6 +62,8 @@ class ReplayLog:
     """Append-only record of a run, serializable to a compact binary form."""
 
     def __init__(self, m: int, n: int, tau_p: int, tau_d: int, mode: str = "recorded"):
+        if int(m) > MAX_BLOCKS:
+            raise ValueError(f"the replay log indexes at most {MAX_BLOCKS} blocks, got m={m}")
         self.m, self.n = int(m), int(n)
         self.tau_p, self.tau_d = int(tau_p), int(tau_d)
         self.mode = mode
@@ -76,6 +81,18 @@ class ReplayLog:
     # -- binary round trip ---------------------------------------------------
 
     def dump(self, fh: io.BufferedWriter):
+        """Write the log; delays outside ``[0, MAX_DELAY]`` raise before any byte is written."""
+        es = [r.e for r in self.records]
+        delays = np.concatenate([
+            *(r.d for r in self.records),
+            np.asarray([e for e in es if np.ndim(e) == 0], dtype=np.int64),
+            *(e for e in es if np.ndim(e) != 0),
+        ])
+        if delays.size and (delays.min() < 0 or delays.max() > MAX_DELAY):
+            raise ValueError(
+                f"delays in [{delays.min()}, {delays.max()}] do not fit the replay "
+                f"log's [0, {MAX_DELAY}] fields"
+            )
         header = {
             "m": self.m, "n": self.n,
             "tau_p": self.tau_p, "tau_d": self.tau_d, "mode": self.mode,

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from smartsolve.asyncexec import AsyncConfig, WorkerFailure, run_async
 from smartsolve.blockspace import BlockLayout, BlockVector
 from smartsolve.engine import StepSizes, run
-from smartsolve.instances import bundle_for
+from smartsolve.instances import PRESET_PROBLEM_KINDS, bundle_for
 from smartsolve.operators import BlockOperator, OperatorFamily
 from smartsolve.problems import linear_system, ridge
 from smartsolve.sampling import substream
@@ -12,20 +14,50 @@ from smartsolve.schedule import DelaySchedule
 from smartsolve.stepsize import weak_bound
 
 
-def test_single_worker_matches_engine_bitwise():
-    b = bundle_for("kaczmarz", problem=linear_system(rows=20, dim=8, seed=0))
-    x0 = BlockVector.zeros(b.family.layout)
-    cfg = AsyncConfig(workers=1, tau_p=3, tau_d=3)
-    ares = run_async(cfg, b.family, b.law, b.graph, b.steps, x0,
-                     max_iters=600, seed=17)
-    eres = run(x0, b.family, b.law, b.graph, b.schedule, b.steps,
-               max_iters=600, rng=substream(17, "sampling"))
+@pytest.mark.parametrize("name", sorted(PRESET_PROBLEM_KINDS))
+def test_single_worker_matches_engine_bitwise(name):
+    # every preset: m > 1 (finito, coordinate-saga), a coin with rho < 1
+    # (svrg-avg, minibatch-pre) and Bernoulli block draws (super-saga)
+    b = bundle_for(name, seed=0)
+    fam = b.family
+    x0 = BlockVector.zeros(fam.layout)
+    ares = run_async(AsyncConfig(workers=1, tau_p=3, tau_d=3), fam, b.law, b.graph,
+                     b.steps, x0, max_iters=300, seed=17)
+    eres = run(x0, fam, b.law, b.graph, DelaySchedule.zero(fam.m, fam.n), b.steps,
+               max_iters=300, rng=substream(17, "sampling"))
     np.testing.assert_array_equal(ares.x.flat(), eres.x.flat())
+    assert ares.iterations == eres.iterations == 300
     assert ares.max_primal_delay == 0 and ares.max_dual_delay == 0
     # the recorded log is the same one the engine would have written
     for ra, re in zip(ares.log, eres.log):
-        assert ra.blocks == re.blocks and ra.op_index == re.op_index
-        assert ra.eps == re.eps
+        assert (ra.blocks, ra.op_index, ra.eps) == (re.blocks, re.op_index, re.eps)
+
+
+@pytest.mark.parametrize("name", ["coordinate-saga", "super-saga"])
+def test_two_workers_replay_on_block_presets(name):
+    # several blocks per draw, so per-block reads can mix ages; a short GIL
+    # switch interval makes the two workers interleave within iterations
+    b = bundle_for(name, seed=0)
+    fam = b.family
+    tau = 4
+    steps = StepSizes.constant(0.95 * weak_bound(fam, b.law, tau, tau))
+    x0 = BlockVector.zeros(fam.layout)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        ares = run_async(AsyncConfig(workers=2, tau_p=tau, tau_d=tau), fam, b.law,
+                         b.graph, steps, x0, max_iters=2000, seed=41)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ares.iterations == 2000 and ares.stopped_on == "max-iterations"
+    assert ares.max_primal_delay <= tau and ares.max_dual_delay <= tau
+    assert all(rec.max_delay() <= tau for rec in ares.log)
+    assert any(rec.max_delay() > 0 for rec in ares.log)
+    sched = DelaySchedule(tau_p=tau, tau_d=tau, mode="recorded", m=fam.m, n=fam.n,
+                          log=ares.log)
+    rres = run(x0, fam, b.law, b.graph, sched, steps, max_iters=ares.iterations,
+               replay=ares.log)
+    assert float(np.max(np.abs(rres.x.flat() - ares.x.flat()))) <= 1e-12
 
 
 @pytest.mark.parametrize("name,taus", [("kaczmarz", (3, 3)), ("saga", (8, 8))])

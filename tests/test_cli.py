@@ -75,6 +75,12 @@ def test_smart_threads_env_caps_workers(tmp_path, monkeypatch):
     assert summary["replay_gap"] == 0.0
 
 
+def test_smart_threads_not_an_integer_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setenv("SMART_THREADS", "abc")
+    assert run_cli("run", "--preset", "kaczmarz", "--mode", "async",
+                   "--iters", "100", "--out", str(tmp_path / "out")) == EXIT_CONFIG
+
+
 def test_rates_subcommand(capsys):
     assert run_cli("rates", "--preset", "SAGA", "--param", "L=1",
                    "--param", "mu=0.1", "--param", "N=10") == EXIT_OK
@@ -113,6 +119,10 @@ def test_config_errors_exit_two(tmp_path):
     for mode in ("delay", "async"):
         assert run_cli("run", "--preset", "kaczmarz", "--mode", mode,
                        "--tau-p", "300", "--out", out) == EXIT_CONFIG
+    # a parameter the generator does not take, or a value it rejects
+    for param in ("foo=1", "rows=-3"):
+        assert run_cli("generate", "--kind", "ridge", "--out", str(tmp_path / "r.json"),
+                       "--param", param) == EXIT_CONFIG
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -5,10 +5,8 @@ from smartsolve.blockspace import BlockLayout, BlockVector
 from smartsolve.operators import (
     AffineMonotoneMap,
     BlockOperator,
-    BoxIndicator,
     CapabilityError,
     HalfspaceIndicator,
-    HyperplaneIndicator,
     L1Norm,
     LinearLeastSquaresTerm,
     LogisticTerm,
@@ -17,7 +15,6 @@ from smartsolve.operators import (
     Quadratic,
     SaddleProxMap,
     SquaredL2,
-    SubdifferentialMap,
     ZeroFunction,
     aggregate,
     gradient_op,
@@ -130,11 +127,6 @@ def test_moreau_conjugate_against_minimization_oracle(gamma):
 
 
 def test_box_hyperplane_halfspace_projections():
-    box = BoxIndicator(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(box.prox(np.array([2.0, 0.5]), 1.0),
-                                  np.array([1.0, 0.5]))
-    hp = HyperplaneIndicator(np.array([1.0, 0.0]), 2.0)
-    np.testing.assert_allclose(hp.prox(np.array([0.0, 3.0])), np.array([2.0, 3.0]))
     hs = HalfspaceIndicator(np.array([1.0, 0.0]), 0.0)
     np.testing.assert_allclose(hs.prox(np.array([-1.0, 4.0])), np.array([-1.0, 4.0]))
     np.testing.assert_allclose(hs.prox(np.array([2.0, 4.0])), np.array([0.0, 4.0]))
@@ -160,8 +152,9 @@ def test_prox_requires_capability():
     [
         lambda: prox_op(L1Norm(0.5), 1.3),
         lambda: prox_op(SquaredL2(center=np.zeros(3), curvature=1.5), 0.7),
-        lambda: BoxIndicator(-np.ones(3), np.ones(3)).project,
-        lambda: HyperplaneIndicator(np.array([1.0, 2.0, -1.0]), 0.5).project,
+        # the conjugate of an l1 norm: its prox is the box projection
+        lambda: prox_op(MoreauConjugate(L1Norm(0.8)), 1.1),
+        lambda: HalfspaceIndicator(np.array([1.0, 2.0, -1.0]), 0.5).project,
         lambda: resolvent_op(AffineMonotoneMap(np.array([[1.0, -2.0, 0], [2.0, 1.0, 0], [0, 0, 0.5]])), 0.8),
     ],
 )
@@ -229,24 +222,6 @@ def test_resolvent_zero_map_is_identity():
     J = resolvent_op(AffineMonotoneMap(np.zeros((2, 2))), 1.0)
     v = np.array([1.0, -2.0])
     np.testing.assert_allclose(J(v), v)
-
-
-def test_resolvent_of_subdifferential_is_prox():
-    g = L1Norm(0.8)
-    J = resolvent_op(SubdifferentialMap(g), 1.5)
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        v = rng.standard_normal(3) * 2
-        np.testing.assert_allclose(J(v), g.prox(v, 1.5), atol=1e-14)
-
-
-def test_normal_cone_resolvent_is_projection():
-    from smartsolve.operators import NormalConeMap
-
-    box = BoxIndicator(-np.ones(3), np.ones(3))
-    J = resolvent_op(NormalConeMap(box), 2.0)
-    v = np.array([1.5, -0.2, -4.0])
-    np.testing.assert_array_equal(J(v), np.array([1.0, -0.2, -1.0]))
 
 
 def test_saddle_resolvent_is_blockwise_prox():

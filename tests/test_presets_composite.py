@@ -7,7 +7,7 @@ from smartsolve.instances import chain_quadratic
 from smartsolve.operators import L1Norm, verify_coherence
 from smartsolve.presets import build_coordinate_saga, build_minibatch, build_prox_saga, build_saga
 from smartsolve.problems import (
-    SeparableBlockQuadratic,
+    ChainBlockQuadratic,
     lasso,
     lasso_terms,
     ridge,
@@ -113,7 +113,8 @@ def test_coordinate_saga_separable_matches_full_solution():
     layout = BlockLayout((bd,) * m)
     centers = [[rng.standard_normal(bd) for _ in range(m)] for _ in range(N)]
     curv = rng.uniform(0.5, 1.5, (N, m))
-    fs = [SeparableBlockQuadratic(centers[i], curv[i]) for i in range(N)]
+    # weight 0 leaves the chain's blocks uncoupled: a separable quadratic
+    fs = [ChainBlockQuadratic(centers[i], curv[i], weight=0.0) for i in range(N)]
     Lb = np.vstack([f.block_lipschitz for f in fs])
     # solution: per-block weighted average of centers
     x_star_blocks = []

@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartsolve.sampling import substream
 from smartsolve.schedule import (
+    MAX_BLOCKS,
     MAX_DELAY,
     DelaySchedule,
     HistoryBuffer,
@@ -155,6 +158,50 @@ def test_replay_log_round_trip():
     assert len(back) == len(log)
     for a, b in zip(log, back):
         assert a.blocks == b.blocks and a.op_index == b.op_index and a.eps == b.eps
+        np.testing.assert_array_equal(a.d, b.d)
+        np.testing.assert_array_equal(np.asarray(a.e), np.asarray(b.e))
+
+
+def test_replay_log_rejects_values_its_fields_cannot_hold():
+    # block indices are uint16: m = 70000 used to fail only inside dump
+    for m in (MAX_BLOCKS + 1, 70_000):
+        with pytest.raises(ValueError, match=str(MAX_BLOCKS)):
+            ReplayLog(m=m, n=1, tau_p=0, tau_d=0)
+    ReplayLog(m=MAX_BLOCKS, n=1, tau_p=0, tau_d=0)
+    # delays are uint8: d = 300 and e = 256 used to come back as 44 and 0
+    for d, e in ((300, 0), (0, 256), (-1, 0), (0, np.array([0, MAX_DELAY + 1]))):
+        log = ReplayLog(m=1, n=2, tau_p=0, tau_d=0)
+        log.append(ReplayRecord((0,), 0, 1, np.zeros(1, dtype=np.int64), 0))
+        log.append(ReplayRecord((0,), 1, 1, np.array([d]), e))
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match=str(MAX_DELAY)):
+            log.dump(buf)
+        assert buf.getvalue() == b""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_replay_log_round_trip_at_the_field_limits(data):
+    m = data.draw(st.sampled_from((1, 3, MAX_BLOCKS)))
+    n = data.draw(st.integers(1, 4))
+    delay = st.integers(0, MAX_DELAY)
+    log = ReplayLog(m=m, n=n, tau_p=MAX_DELAY, tau_d=MAX_DELAY)
+    for _ in range(data.draw(st.integers(0, 5))):
+        blocks = tuple(sorted(data.draw(
+            st.sets(st.sampled_from((0, m // 2, m - 1)), max_size=3))))
+        e = data.draw(st.one_of(delay, st.lists(delay, min_size=n, max_size=n)))
+        log.append(ReplayRecord(
+            blocks=blocks,
+            op_index=data.draw(st.integers(0, n - 1)) if blocks else None,
+            eps=data.draw(st.integers(0, 1)),
+            d=(np.array(data.draw(st.lists(delay, min_size=m, max_size=m))) if m < 8
+               else np.full(m, data.draw(delay))),
+            e=e if isinstance(e, int) else np.array(e),
+        ))
+    back = ReplayLog.loads(log.dumps())
+    assert (back.m, back.n, len(back)) == (m, n, len(log))
+    for a, b in zip(log, back):
+        assert (a.blocks, a.op_index, a.eps) == (b.blocks, b.op_index, b.eps)
         np.testing.assert_array_equal(a.d, b.d)
         np.testing.assert_array_equal(np.asarray(a.e), np.asarray(b.e))
 
