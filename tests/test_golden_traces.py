@@ -2,7 +2,8 @@
 
 Each run mirrors ``smartsolve run`` (zero start, sampling sub-stream of the
 seed, the bundle's oracle and dual init, trace stride 50) on the preset's
-default problem.  An engine change that alters the arithmetic of these
+default problem; ``uniform-random`` draws its delays from the seed's delay
+sub-stream, as the CLI does.  An engine change that alters the arithmetic of these
 presets, even at the rounding level, changes a hash; the hashes are only
 ever updated together with a note of why the bytes moved.
 """
@@ -59,6 +60,19 @@ GOLDEN = {
     ("coordinate-saga", "cyclic"): (
         "a048d2778931e2ad8234e17e692796dfbd068a96f2c55e904407ddf4da33a4ce",
         "4d696ff93cbc5aec99eeb85cbe497fe4e12416a701135a07c8d890c21a4c7b0c",
+    ),
+    # per-operator dual ages: each operator reads its own table state
+    ("saga", "uniform-random"): (
+        "16eef2be908ae4eb37e1854ac58ebfbc977103ea1aa9dd80695746f6114d061a",
+        "4549c2a3705ac0ade9321c765ad7c5f72325111bd522123abc22a001d6323c61",
+    ),
+    ("kaczmarz", "uniform-random"): (
+        "4ef03415f4285c8ac5705f4635004391b16eeecfad96e3e7556a7654f1a85483",
+        "4549c2a3705ac0ade9321c765ad7c5f72325111bd522123abc22a001d6323c61",
+    ),
+    ("coordinate-saga", "uniform-random"): (
+        "19a43b82a8337d42596f6f013ed19aef8b71c09f289c6044b6903c4b142a1ce4",
+        "8186d90fe58d2f9070751c3d9c1e08c7dc434d662d9256e8373bdeb5c2a756da",
     ),
     # every other registered preset, zero mode only
     ("finito", "zero"): (
@@ -132,7 +146,8 @@ def _artifacts(preset, mode):
     b = bundle_for(preset, seed=SEED)
     fam = b.family
     tau = 0 if mode == "zero" else TAU
-    sched = DelaySchedule(tau_p=tau, tau_d=tau, mode=mode, m=fam.m, n=fam.n)
+    sched = DelaySchedule(tau_p=tau, tau_d=tau, mode=mode, m=fam.m, n=fam.n,
+                          rng=substream(SEED, "delays"))
     res = run(BlockVector.zeros(fam.layout), fam, b.law, b.graph, sched, b.steps,
               max_iters=ITERS, rng=substream(SEED, "sampling"), oracle=b.oracle,
               trace_stride=50, dual_init=b.dual_init)
