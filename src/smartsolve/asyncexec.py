@@ -10,9 +10,10 @@ engine replays bit-for-bit (both paths run the engine's iteration helpers).
 
 Staleness is capped by back-pressure: a commit whose reads are older than
 the caps is rejected and the worker re-reads and re-evaluates.  Dual reads
-grab one immutable table snapshot, so their age is a single number per
-iteration (consistent dual reads); block reads are per-block and may mix
-ages, which is the inconsistent-read regime the delay bookkeeping models.
+grab one read-only ``(Y, sums)`` state of the copy-on-write dual table, so
+their age is a single number per iteration (consistent dual reads); block
+reads are per-block and may mix ages, which is the inconsistent-read regime
+the delay bookkeeping models.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class _Shared:
 def _read_snapshot(shared: _Shared, needed):
     """Lock-free read: per-block state indices (the freshest state each value
     is known to be valid for), the ``needed`` evaluations at the read point,
-    and one dual-table snapshot with its state index."""
+    and one published dual state ``(Y, sums)`` with its state index."""
     versions = np.empty(shared.family.m, dtype=np.int64)
     values = []
     for j in range(shared.family.m):
@@ -146,7 +147,7 @@ def _worker(shared: _Shared, wid: int, rng):
                     if serialize:
                         # guaranteed-fresh path after repeated rejections
                         read = _read_snapshot(shared, needed)
-                    versions, evals, dual_version, snap = read
+                    versions, evals, dual_version, (Y, ysum) = read
                     k = shared.commits
                     d = k - versions
                     e = k - dual_version
@@ -155,7 +156,7 @@ def _worker(shared: _Shared, wid: int, rng):
                         continue
                     new_row, writes = _apply(
                         family, law, [c[1] for c in shared.cells], blocks, i_k, evals,
-                        snap.entries[i_k], snap.colsums, shared.steps.value(k), write_at,
+                        Y[i_k], ysum, shared.steps.value(k), write_at, shared.table.slices,
                     )
                     for j in blocks:
                         shared.cells[j] = (k + 1, new_row[j])

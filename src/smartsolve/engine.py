@@ -14,6 +14,10 @@ the dual reads come from a table that is ``e`` iterations old.  Finally, if
 the coin came up, every dual variable triggered by the sampled operator
 refreshes its sampled-block entries to the fresh evaluation at ``x_read``.
 
+The dual table is one dense (n, D) array with its column sums; each commit
+publishes a read-only copy, so the dual history holds plain references and
+per-operator ages gather their rows from past states with one fancy index.
+
 Refreshes are computed only for dual states that are read.  When every
 commit of a run overwrites every supported dual entry (coin always up, every
 draw covers the supported blocks, every operator triggers the supported
@@ -44,7 +48,6 @@ from .schedule import DelaySchedule, HistoryBuffer, ReplayLog, ReplayRecord, del
 __all__ = [
     "StepSizes",
     "DualTable",
-    "DualSnapshot",
     "SmartState",
     "init_state",
     "step",
@@ -87,93 +90,70 @@ class StepSizes:
         return lam
 
 
-@dataclass(frozen=True)
-class DualSnapshot:
-    """Immutable view of the dual table: entries plus per-block column sums."""
-
-    entries: tuple          # n tuples of m arrays
-    colsums: tuple          # m arrays
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.entries[i][j]
-
-
-def _column_sums(entries, m: int) -> tuple:
-    return tuple(
-        np.sum([row[j] for row in entries], axis=0) for j in range(m)
-    )
-
-
 class DualTable:
-    """n x m table of stored operator blocks with an incrementally kept sum.
+    """Stored operator blocks ``y_ij`` as one dense copy-on-write table.
 
-    Entries masked off by the zero pattern stay exactly zero forever (they
-    are never written).  Each commit produces a fresh snapshot sharing the
-    untouched rows, so histories hold cheap references.  Every
-    ``RESUM_EVERY`` commits the column sums are recomputed exactly and
-    checked against the maintained ones.  A commit that writes every
-    supported entry takes the column sums exactly instead, so its snapshot
-    does not depend on the table before it.
+    A state is a read-only pair ``(Y, sums)``: ``Y`` is (n, D), D the total
+    dimension, with ``y_ij`` in row ``i`` at block ``j``'s ``slices[j]``, and
+    ``sums`` its column sums.  Masked entries are zeros that are never
+    written.  A commit copies the state, applies its writes in order with
+    ``sums <- sums - old + new``, and publishes the copy.  Every
+    ``RESUM_EVERY`` commits the sums are checked against ``Y.sum(axis=0)``;
+    a commit that writes every supported entry takes ``Y.sum(axis=0)``
+    outright, so its state does not depend on the table before it.
     """
 
     def __init__(self, family: OperatorFamily, x0: BlockVector, init: str = "operator-values"):
-        n, m, dims = family.n, family.m, family.layout.dims
         self.mask = family.star_pattern
         self.supported = int(self.mask.sum())
-        rows = []
-        for i in range(n):
-            if init == "operator-values":
+        self.slices = [slice(a, b) for a, b in family.layout.offsets()]
+        Y = np.zeros((family.n, family.layout.total_dim))
+        if init == "operator-values":
+            for i in range(family.n):
                 val = family.ops[i](x0)
-                row = tuple(
-                    val.blocks[j] if self.mask[i, j] else np.zeros(dims[j])
-                    for j in range(m)
-                )
-            elif init == "zero":
-                row = tuple(np.zeros(dims[j]) for j in range(m))
-            else:
-                raise ValueError(f"unknown dual init {init!r}")
-            rows.append(row)
-        self.current = DualSnapshot(tuple(rows), _column_sums(rows, m))
+                for j, sl in enumerate(self.slices):
+                    if self.mask[i, j]:
+                        Y[i, sl] = val.blocks[j]
+        elif init != "zero":
+            raise ValueError(f"unknown dual init {init!r}")
+        sums = Y.sum(axis=0)
+        Y.setflags(write=False)
+        sums.setflags(write=False)
+        self.current = (Y, sums)
         self.commits = 0
 
-    def commit(self, updates) -> DualSnapshot:
-        """Apply ``(i, j, value)`` writes and return the new snapshot."""
+    def commit(self, updates) -> tuple:
+        """Apply ``(i, j, value)`` writes and return the new ``(Y, sums)`` state."""
         if not updates:
             return self.current
         full = (
             len(updates) >= self.supported
             and len({(i, j) for i, j, _ in updates}) == self.supported
         )
-        entries = list(self.current.entries)
-        colsums = list(self.current.colsums)
-        touched_rows = {}
+        Y, sums = self.current[0].copy(), self.current[1].copy()
         for i, j, val in updates:
             if not self.mask[i, j]:
                 raise EngineError(f"write to masked dual entry ({i}, {j})")
-            row = touched_rows.get(i)
-            if row is None:
-                row = list(entries[i])
-                touched_rows[i] = row
+            sl = self.slices[j]
             if not full:
-                colsums[j] = colsums[j] - row[j] + val
-            row[j] = val
-        for i, row in touched_rows.items():
-            entries[i] = tuple(row)
+                # sums <- sums - old + new, in that order and in place
+                block_sum = sums[sl]
+                block_sum -= Y[i, sl]
+                block_sum += val
+            Y[i, sl] = val
         self.commits += 1
         if full:
-            colsums = _column_sums(entries, len(colsums))
+            sums = Y.sum(axis=0)
         elif self.commits % RESUM_EVERY == 0:
-            exact = _column_sums(entries, len(colsums))
-            drift = max(
-                float(np.max(np.abs(a - b))) if a.size else 0.0
-                for a, b in zip(exact, colsums)
-            )
+            exact = Y.sum(axis=0)
+            drift = float(np.max(np.abs(exact - sums)))
             if drift > RESUM_DRIFT_TOL:
                 raise EngineError(f"dual sum drift {drift:.3e} exceeds tolerance")
-            colsums = exact
-        snap = DualSnapshot(tuple(entries), tuple(colsums))
-        self.current = snap
-        return snap
+            sums = exact
+        Y.setflags(write=False)
+        sums.setflags(write=False)
+        self.current = (Y, sums)
+        return self.current
 
 
 @dataclass
@@ -210,35 +190,24 @@ def init_state(
     return SmartState(family, primal, dual, table, k=0, rng=rng)
 
 
-def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int, blocks):
-    """Values of ``y[i_k, j]`` and ``sum_i y[i, j]`` at the delayed table age,
-    each indexed by the drawn block ``j``.
+def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int):
+    """Row ``i_k`` of the dual table and the column sums at the delayed age.
 
     ``e`` is a scalar (one age for the whole table) or an (n,) vector of
-    per-operator ages, the two shapes the replay log can store.
+    per-operator ages, row ``i`` then coming from state ``k - e[i]``: the two
+    shapes the replay log can store.
     """
-    n = state.family.n
     if np.isscalar(e) or np.ndim(e) == 0:
-        snap = state.dual_hist.read(k - int(e))
-        return snap.entries[i_k], snap.colsums
+        Y, sums = state.dual_hist.read(k - int(e))
+        return Y[i_k], sums
+    n = state.family.n
     e = np.asarray(e)
     if e.shape != (n,):
         raise EngineError(f"dual delays must be a scalar or ({n},), got shape {e.shape}")
-    snaps = {}
-
-    def snap_at(t):
-        if t not in snaps:
-            snaps[t] = state.dual_hist.read(t)
-        return snaps[t]
-
-    y_ik, ysum = {}, {}
-    for j in blocks:
-        y_ik[j] = snap_at(k - int(e[i_k])).entry(i_k, j)
-        total = snap_at(k - int(e[0])).entry(0, j)
-        for i in range(1, n):
-            total = total + snap_at(k - int(e[i])).entry(i, j)
-        ysum[j] = total
-    return y_ik, ysum
+    lo = int(e.min())
+    tables = np.stack([state.dual_hist.read(k - a)[0] for a in range(lo, int(e.max()) + 1)])
+    rows = tables[e - lo, np.arange(n)]
+    return rows[i_k], rows.sum(axis=0)
 
 
 def _overwrites_whole_table(family: OperatorFamily, law: SamplingLaw, graph: TriggerGraph) -> bool:
@@ -275,12 +244,13 @@ def _plan(family: OperatorFamily, graph: TriggerGraph, blocks, i_k: int, commit)
 
 
 def _apply(family: OperatorFamily, law: SamplingLaw, cur, blocks, i_k: int, evals,
-           y_ik, ysum, lam: float, write_at):
+           y_ik, ysum, lam: float, write_at, slices):
     """The new primal row and the ``(i, j, value)`` dual writes of one iteration.
 
     ``evals`` holds the evaluations :func:`_plan` lists, at the read point,
-    and ``y_ik[j]``/``ysum[j]`` the dual reads of block ``j``.  The engine and
-    the threaded executor both run this, so a threaded run replays exactly.
+    and ``y_ik``/``ysum`` the (D,) dual reads, block ``j`` at ``slices[j]``.
+    The engine and the threaded executor both run this, so a threaded run
+    replays exactly.
     """
     n, m = family.n, family.m
     new_row = list(cur)
@@ -290,7 +260,8 @@ def _apply(family: OperatorFamily, law: SamplingLaw, cur, blocks, i_k: int, eval
             raise EngineError(f"drawn operator {i_k} has zero conditional mass in block {j}")
         a = 1.0 / (n * p_ij)
         lam_over_qm = lam / (law.q[j] * m)
-        new_row[j] = cur[j] - lam_over_qm * (a * evals[i_k, j] - a * y_ik[j] + ysum[j] / n)
+        sl = slices[j]
+        new_row[j] = cur[j] - lam_over_qm * (a * evals[i_k, j] - a * y_ik[sl] + ysum[sl] / n)
     return new_row, [(i, j, evals[i, j]) for i, j in write_at]
 
 
@@ -324,7 +295,7 @@ def step(
 
     if blocks:
         x_read = BlockVector(family.layout, delayed_read(state.primal_hist, k, d))
-        y_ik, ysum = _resolve_dual_reads(state, k, e, i_k, blocks)
+        y_ik, ysum = _resolve_dual_reads(state, k, e, i_k)
         refresh = state.full_refresh
         if refresh is None or refresh[0] is not law or refresh[1] is not graph:
             refresh = state.full_refresh = (
@@ -336,9 +307,10 @@ def step(
         commit = eps and not unread
         needed, write_at = _plan(family, graph, blocks, i_k, commit)
         evals = {(i, j): family.ops[i].block(x_read, j) for i, j in needed}
-        new_row, writes = _apply(family, law, cur, blocks, i_k, evals, y_ik, ysum, lam, write_at)
-        state.primal_hist.push(tuple(new_row))
         table = state.dual_table
+        new_row, writes = _apply(family, law, cur, blocks, i_k, evals, y_ik, ysum, lam,
+                                 write_at, table.slices)
+        state.primal_hist.push(tuple(new_row))
         state.dual_hist.push(table.commit(writes) if commit else table.current)
     else:
         # legal empty draw: the iteration counts but nothing moves

@@ -15,6 +15,7 @@ records what happened, the engine reruns it.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -81,10 +82,20 @@ class ReplayLog:
     # -- binary round trip ---------------------------------------------------
 
     def dump(self, fh: io.BufferedWriter):
-        """Write the log; delays outside ``[0, MAX_DELAY]`` raise before any byte is written."""
-        es = [r.e for r in self.records]
+        """Write the log; a delay outside ``[0, MAX_DELAY]`` or a block or
+        operator index outside ``[0, m)``/``[0, n)`` raises before any byte is written."""
+        recs = self.records
+        blocks = np.fromiter(itertools.chain.from_iterable(r.blocks for r in recs), np.int64)
+        ops = np.fromiter((r.op_index for r in recs if r.op_index is not None), np.int64)
+        for name, idx, size in (("block", blocks, self.m), ("operator", ops, self.n)):
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
+                raise ValueError(
+                    f"{name} indices in [{idx.min()}, {idx.max()}] do not index the "
+                    f"log's {size} {name}s"
+                )
+        es = [r.e for r in recs]
         delays = np.concatenate([
-            *(r.d for r in self.records),
+            *(r.d for r in recs),
             np.asarray([e for e in es if np.ndim(e) == 0], dtype=np.int64),
             *(e for e in es if np.ndim(e) != 0),
         ])
@@ -121,22 +132,32 @@ class ReplayLog:
 
     @classmethod
     def load(cls, fh: io.BufferedReader) -> "ReplayLog":
+        """Read a log; a short read or an out-of-range index raises ``ValueError``."""
+
+        def read(size):
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"replay log ends early: wanted {size} bytes, got {len(data)}")
+            return data
+
         if fh.read(4) != _MAGIC:
             raise ValueError("not a replay log")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
+        (hlen,) = struct.unpack("<I", read(4))
+        header = json.loads(read(hlen).decode())
         log = cls(**header)
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", read(4))
         for _ in range(count):
-            i_enc, eps, ns = struct.unpack("<IBH", fh.read(7))
-            blocks = struct.unpack(f"<{ns}H", fh.read(2 * ns)) if ns else ()
-            d = np.frombuffer(fh.read(log.m), dtype=np.uint8).astype(np.int64)
-            (ekind,) = struct.unpack("<B", fh.read(1))
+            i_enc, eps, ns = struct.unpack("<IBH", read(7))
+            blocks = struct.unpack(f"<{ns}H", read(2 * ns)) if ns else ()
+            if i_enc > log.n or (blocks and max(blocks) >= log.m):
+                raise ValueError(f"record {len(log)} indexes outside n={log.n}, m={log.m}")
+            d = np.frombuffer(read(log.m), dtype=np.uint8).astype(np.int64)
+            (ekind,) = struct.unpack("<B", read(1))
             if ekind == 1:
-                (e,) = struct.unpack("<B", fh.read(1))
+                (e,) = struct.unpack("<B", read(1))
                 e = int(e)
             else:
-                e = np.frombuffer(fh.read(log.n), dtype=np.uint8).astype(np.int64)
+                e = np.frombuffer(read(log.n), dtype=np.uint8).astype(np.int64)
             log.append(
                 ReplayRecord(
                     blocks=tuple(int(b) for b in blocks),

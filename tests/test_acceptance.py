@@ -191,10 +191,11 @@ def test_criterion_7_structural_checks():
     for _ in range(2000):
         step(state, bundle.law, bundle.graph, bundle.schedule, bundle.steps)
     mask = bundle.family.star_pattern
+    Y, _ = state.dual_table.current
     clean = all(
-        np.all(state.dual_table.current.entry(i, j) == 0.0)
+        np.all(Y[i, sl] == 0.0)
         for i in range(bundle.family.n)
-        for j in range(bundle.family.m)
+        for j, sl in enumerate(state.dual_table.slices)
         if not mask[i, j]
     )
     ok = ok and clean

@@ -71,14 +71,21 @@ def test_multi_worker_caps_and_replay(name, taus):
     lam = 0.95 * weak_bound(b.family, b.law, tau_p, tau_d)
     cfg = AsyncConfig(workers=4, tau_p=tau_p, tau_d=tau_d)
     x0 = BlockVector.zeros(b.family.layout)
-    ares = run_async(cfg, b.family, b.law, b.graph, StepSizes.constant(lam), x0,
-                     max_iters=100_000, stop_resid=1e-6, seed=23)
+    # at the default 5 ms switch interval the saga run realised no delay
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        ares = run_async(cfg, b.family, b.law, b.graph, StepSizes.constant(lam), x0,
+                         max_iters=100_000, stop_resid=1e-6, seed=23)
+    finally:
+        sys.setswitchinterval(interval)
     assert ares.final_residual <= 1e-6
     # hard staleness caps
     assert ares.max_primal_delay <= tau_p
     assert ares.max_dual_delay <= tau_d
     for rec in ares.log:
         assert rec.max_delay() <= max(tau_p, tau_d)
+    assert any(rec.max_delay() > 0 for rec in ares.log)
     # deterministic replay reproduces the final point exactly
     sched = DelaySchedule(tau_p=tau_p, tau_d=tau_d, mode="recorded",
                           m=b.family.m, n=b.family.n, log=ares.log)

@@ -112,5 +112,6 @@ def test_full_commit_snapshot_does_not_depend_on_the_table_before():
         used.commit([(int(rng.integers(0, 5)), 0, rng.standard_normal(DIM))])
     full = [(i, 0, rng.standard_normal(DIM)) for i in range(5)]
     a, c = fresh.commit(full), used.commit(full)
-    assert a.colsums[0].tobytes() == c.colsums[0].tobytes()
-    assert a.colsums[0].tobytes() == np.sum([v for _, _, v in full], axis=0).tobytes()
+    assert a[0].tobytes() == c[0].tobytes()
+    assert a[1].tobytes() == c[1].tobytes()
+    assert a[1].tobytes() == np.sum([v for _, _, v in full], axis=0).tobytes()

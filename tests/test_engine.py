@@ -176,14 +176,15 @@ def test_dual_sparsity_preserved_over_run():
     x0 = BlockVector.zeros(bundle.family.layout)
     state = init_state(bundle.family, x0, tau_p=0, tau_d=0,
                        rng=substream(13, "sampling"))
+    mask = bundle.family.star_pattern
+    assert mask.any() and not mask.all()
     for _ in range(500):
         step(state, bundle.law, bundle.graph, bundle.schedule, bundle.steps)
-    snap = state.dual_table.current
-    mask = bundle.family.star_pattern
-    for i in range(bundle.family.n):
-        for j in range(bundle.family.m):
-            if not mask[i, j]:
-                assert np.all(snap.entry(i, j) == 0.0)
+        Y, _ = state.dual_table.current
+        for i in range(bundle.family.n):
+            for j, sl in enumerate(state.dual_table.slices):
+                if not mask[i, j]:
+                    assert np.all(Y[i, sl] == 0.0)
 
 
 def test_dual_table_masked_write_rejected():
@@ -200,14 +201,32 @@ def test_dual_sum_maintenance_against_recomputation():
     bundle = build_saga(fs, lipschitz=L)
     x0 = BlockVector(bundle.family.layout, (rng.standard_normal(4),))
     table = DualTable(bundle.family, x0)
-    layout = bundle.family.layout
+    shadow = np.array(table.current[0])
     for t in range(1500):
         i = int(rng.integers(0, 5))
         val = rng.standard_normal(4)
         table.commit([(i, 0, val)])
+        shadow[i] = val
         if t % 100 == 0:
-            exact = np.sum([table.current.entry(l, 0) for l in range(5)], axis=0)
-            np.testing.assert_allclose(table.current.colsums[0], exact, atol=1e-9)
+            Y, sums = table.current
+            np.testing.assert_array_equal(Y, shadow)
+            np.testing.assert_allclose(sums, shadow.sum(axis=0), atol=1e-9)
+
+
+def test_published_dual_states_are_read_only():
+    fs, L = ridge_terms(ridge(rows=5, dim=4, reg=0.2, seed=7))
+    table = DualTable(build_saga(fs, lipschitz=L).family,
+                      BlockVector(BlockLayout((4,)), (np.ones(4),)))
+    before = table.current
+    after = table.commit([(2, 0, np.full(4, 3.0))])
+    for Y, sums in (before, after):
+        with pytest.raises(ValueError):
+            Y[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sums[0] = 1.0
+    # the commit copied: the state it replaced is unchanged
+    assert not np.any(before[0][2] == 3.0)
+    np.testing.assert_array_equal(after[0][2], 3.0)
 
 
 def test_step_band_rule_enforced():

@@ -49,10 +49,11 @@ def test_prox_saga_every_sample_refreshes_residual_dual(lasso_prob):
     state = init_state(b.family, BlockVector.zeros(b.family.layout),
                        rng=substream(1, "sampling"))
     for _ in range(20):
-        before = state.dual_table.current.entry(N, 0)
+        x, before = state.x, state.dual_table.current
         rec = step(state, b.law, b.graph, b.schedule, b.steps)
-        after = state.dual_table.current.entry(N, 0)
+        after = state.dual_table.current
         assert after is not before  # refreshed at every iteration
+        np.testing.assert_array_equal(after[0][N], b.family.ops[N].block(x, 0))
 
 
 def test_prox_saga_transport_against_cd_oracle(lasso_prob):

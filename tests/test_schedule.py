@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -177,6 +178,42 @@ def test_replay_log_rejects_values_its_fields_cannot_hold():
         with pytest.raises(ValueError, match=str(MAX_DELAY)):
             log.dump(buf)
         assert buf.getvalue() == b""
+
+
+def _five_record_log():
+    log = ReplayLog(m=2, n=3, tau_p=2, tau_d=2)
+    for k in range(5):
+        log.append(ReplayRecord((k % 2,), k % 3, 1, np.array([k % 3, 0]), np.array([1, 2, k % 3])))
+    return log
+
+
+def test_replay_log_load_rejects_a_truncated_log():
+    # a cut of 1 or 3 bytes used to load with a short last e, 4 bytes as struct.error
+    blob = _five_record_log().dumps()
+    for cut in range(1, len(blob)):
+        with pytest.raises(ValueError):
+            ReplayLog.loads(blob[:-cut])
+
+
+def test_replay_log_dump_rejects_indices_outside_the_log():
+    # blocks=(5,) in an m = 2 log used to dump and load back unchanged
+    for blocks, op in (((5,), 0), ((2,), 0), ((-1,), 0), ((0,), 3), ((0,), -1)):
+        log = _five_record_log()
+        log.append(ReplayRecord(blocks, op, 1, np.zeros(2, dtype=np.int64), 0))
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="indices"):
+            log.dump(buf)
+        assert buf.getvalue() == b""
+
+
+def test_replay_log_load_rejects_indices_outside_the_log():
+    blob = _five_record_log().dumps()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    first = 12 + hlen           # the first record: op index + 1, eps, block count, blocks
+    for offset, field in ((first, struct.pack("<I", 4)), (first + 7, struct.pack("<H", 2))):
+        bad = blob[:offset] + field + blob[offset + len(field):]
+        with pytest.raises(ValueError, match="outside"):
+            ReplayLog.loads(bad)
 
 
 @settings(max_examples=60, deadline=None)
