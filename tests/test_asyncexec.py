@@ -33,7 +33,7 @@ def test_single_worker_matches_engine_bitwise(name):
         assert (ra.blocks, ra.op_index, ra.eps) == (re.blocks, re.op_index, re.eps)
 
 
-@pytest.mark.parametrize("name", ["coordinate-saga", "super-saga"])
+@pytest.mark.parametrize("name", ["coordinate-saga", "finito", "super-saga"])
 def test_two_workers_replay_on_block_presets(name):
     # several blocks per draw, so per-block reads can mix ages; a short GIL
     # switch interval makes the two workers interleave within iterations

@@ -74,6 +74,11 @@ GOLDEN = {
         "19a43b82a8337d42596f6f013ed19aef8b71c09f289c6044b6903c4b142a1ce4",
         "8186d90fe58d2f9070751c3d9c1e08c7dc434d662d9256e8373bdeb5c2a756da",
     ),
+    # mixed-age reads of the duplicated copies
+    ("finito", "uniform-random"): (
+        "156d7dea9ffbdce5ec27dad824cd735b9d6a7aa7f0f46fa98645867413db30f7",
+        "c9d5b2cb55c4b9208b34def95472be3a529645f88f3b306563f33016d909e8ae",
+    ),
     # every other registered preset, zero mode only
     ("finito", "zero"): (
         "55e61cb31f497191dc26d5b0d7e148b439743b3c82e588282ccd230e7840ac8a",
