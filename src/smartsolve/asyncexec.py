@@ -112,7 +112,7 @@ def _read_snapshot(shared: _Shared, needed):
     dcell = shared.dual_cell
     c2 = shared.commits
     dual_version = max(dcell[0], c2) if shared.dual_cell is dcell else dcell[0]
-    x_read = BlockVector(shared.family.layout, tuple(values))
+    x_read = BlockVector._unchecked(shared.family.layout, tuple(values))
     evals = {(i, j): shared.family.ops[i].block(x_read, j) for i, j in needed}
     return versions, evals, dual_version, dcell[1]
 
@@ -155,7 +155,7 @@ def _worker(shared: _Shared, wid: int, rng):
                         attempts += 1
                         continue
                     new_row, writes = _apply(
-                        family, law, [c[1] for c in shared.cells], blocks, i_k, evals,
+                        family, law, k, [c[1] for c in shared.cells], blocks, i_k, evals,
                         Y[i_k], ysum, shared.steps.value(k), write_at, shared.table.slices,
                     )
                     for j in blocks:

@@ -83,7 +83,7 @@ def _as_blocks(layout: BlockLayout, blocks) -> tuple[np.ndarray, ...]:
         arr = np.asarray(blk, dtype=np.float64)
         if arr.shape != (d,):
             raise DimensionError(f"block {j} has shape {arr.shape}, expected ({d},)")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"block {j} contains NaN or Inf")
         out.append(arr)
     return tuple(out)
@@ -93,9 +93,12 @@ def _as_blocks(layout: BlockLayout, blocks) -> tuple[np.ndarray, ...]:
 class BlockVector:
     """An element of the block space, stored as one array per block.
 
-    Construction is the single choke point rejecting NaN/Inf; everything
-    downstream may assume finite entries.  Instances are treated as
-    immutable; operations return fresh vectors.
+    The constructor checks every block's shape and rejects NaN/Inf.  The
+    engine builds its delayed reads with :meth:`_unchecked` instead, over
+    blocks it already checked: the start point passed the constructor, and
+    ``engine._apply`` checks each block it writes, so a non-finite iterate
+    raises ``EngineError`` at the iteration that produced it.  Instances
+    are treated as immutable; operations return fresh vectors.
     """
 
     layout: BlockLayout
@@ -103,6 +106,14 @@ class BlockVector:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", _as_blocks(self.layout, self.blocks))
+
+    @classmethod
+    def _unchecked(cls, layout: BlockLayout, blocks: tuple) -> "BlockVector":
+        """A vector over ``blocks`` as given: no shape, dtype or finiteness check."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "layout", layout)
+        object.__setattr__(x, "blocks", blocks)
+        return x
 
     @classmethod
     def zeros(cls, layout: BlockLayout) -> "BlockVector":

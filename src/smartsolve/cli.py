@@ -191,11 +191,10 @@ def cmd_run(args) -> int:
             )
             log = result.log
             replay_gap = None
-        if not all(np.all(np.isfinite(b)) for b in result.x.blocks):
-            raise EngineError("non-finite iterate")
     except (EngineError, WorkerFailure, FloatingPointError, ValueError) as exc:
-        # the bundle and the schedule were already validated, so a
-        # ValueError here is the engine rejecting a non-finite iterate mid-run
+        # the bundle and the schedule were already validated: a diverged iterate
+        # raises EngineError, a non-finite operator value FloatingPointError or
+        # (from the BlockVector it builds) ValueError
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -62,7 +62,7 @@ RESUM_DRIFT_TOL = 1e-9
 
 
 class EngineError(RuntimeError):
-    pass
+    """A run cannot go on; a diverged iterate is reported with its iteration and block."""
 
 
 @dataclass(frozen=True)
@@ -243,14 +243,16 @@ def _plan(family: OperatorFamily, graph: TriggerGraph, blocks, i_k: int, commit)
     return list(dict.fromkeys(needed + write_at)), write_at
 
 
-def _apply(family: OperatorFamily, law: SamplingLaw, cur, blocks, i_k: int, evals,
+def _apply(family: OperatorFamily, law: SamplingLaw, k: int, cur, blocks, i_k: int, evals,
            y_ik, ysum, lam: float, write_at, slices):
-    """The new primal row and the ``(i, j, value)`` dual writes of one iteration.
+    """The new primal row and the ``(i, j, value)`` dual writes of iteration ``k``.
 
     ``evals`` holds the evaluations :func:`_plan` lists, at the read point,
     and ``y_ik``/``ysum`` the (D,) dual reads, block ``j`` at ``slices[j]``.
     The engine and the threaded executor both run this, so a threaded run
-    replays exactly.
+    replays exactly.  A drawn block that comes out NaN or Inf raises
+    :class:`EngineError`: this is where the iterate's finiteness is kept,
+    since the delayed reads are not re-checked.
     """
     n, m = family.n, family.m
     new_row = list(cur)
@@ -261,7 +263,10 @@ def _apply(family: OperatorFamily, law: SamplingLaw, cur, blocks, i_k: int, eval
         a = 1.0 / (n * p_ij)
         lam_over_qm = lam / (law.q[j] * m)
         sl = slices[j]
-        new_row[j] = cur[j] - lam_over_qm * (a * evals[i_k, j] - a * y_ik[sl] + ysum[sl] / n)
+        new = cur[j] - lam_over_qm * (a * evals[i_k, j] - a * y_ik[sl] + ysum[sl] / n)
+        if not np.isfinite(new).all():
+            raise EngineError(f"iterate diverged at iteration {k}: block {j} is NaN or Inf")
+        new_row[j] = new
     return new_row, [(i, j, evals[i, j]) for i, j in write_at]
 
 
@@ -294,7 +299,7 @@ def step(
     cur = state.primal_hist.latest()
 
     if blocks:
-        x_read = BlockVector(family.layout, delayed_read(state.primal_hist, k, d))
+        x_read = BlockVector._unchecked(family.layout, delayed_read(state.primal_hist, k, d))
         y_ik, ysum = _resolve_dual_reads(state, k, e, i_k)
         refresh = state.full_refresh
         if refresh is None or refresh[0] is not law or refresh[1] is not graph:
@@ -308,7 +313,7 @@ def step(
         needed, write_at = _plan(family, graph, blocks, i_k, commit)
         evals = {(i, j): family.ops[i].block(x_read, j) for i, j in needed}
         table = state.dual_table
-        new_row, writes = _apply(family, law, cur, blocks, i_k, evals, y_ik, ysum, lam,
+        new_row, writes = _apply(family, law, k, cur, blocks, i_k, evals, y_ik, ysum, lam,
                                  write_at, table.slices)
         state.primal_hist.push(tuple(new_row))
         state.dual_hist.push(table.commit(writes) if commit else table.current)
@@ -413,8 +418,9 @@ def run(
     stopped_on = "max-iterations"
 
     def observe(k, rec: ReplayRecord | None):
-        res = residual(family, state.x)
-        dsq = None if oracle is None else float(oracle.dist_sq(state.x))
+        x = state.x
+        res = residual(family, x)
+        dsq = None if oracle is None else float(oracle.dist_sq(x))
         lam = steps.value(max(k - 1, 0))
         i_k = None if rec is None else rec.op_index
         eps = 0 if rec is None else rec.eps

@@ -10,6 +10,9 @@ which is what the step-size formulas consume).
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import is_not
+
 import numpy as np
 
 from ..blockspace import BlockLayout, BlockVector, product_metric
@@ -158,6 +161,15 @@ def build_finito(
     sole operator moves a sampled copy toward the average of the
     gradient-corrected copies.  All operator values vanish at roots, so
     the dual table is empty.
+
+    As in the published method, the corrected copies live in a table that
+    an evaluation updates only where a copy moved: row ``l + 1`` holds
+    ``x_l - gamma grad f_l(x_l)`` for the block array ``sources[l]``, which
+    it is matched to by identity (blocks are never written in place).
+    Row 0 stays zero, so the prefix sum that adds the rows up starts at
+    +0.0 and runs in row order, giving the bits of a plain running sum.
+    The ``(sources, table)`` pair is replaced whole, never changed, so
+    threads evaluating at once each use a consistent pair.
     """
     from . import PresetBundle
 
@@ -171,11 +183,19 @@ def build_finito(
     d0 = np.asarray(fs[0].grad(_probe_zero(fs[0]))).size
     layout = BlockLayout((d0,) * N)
 
+    cache = [((None,) * N, np.zeros((N + 1, d0)))]
+
     def mean_corrected(x: BlockVector) -> np.ndarray:
-        acc = np.zeros(d0)
-        for xl, f in zip(x.blocks, fs):
-            acc += xl - gamma * f.grad(xl)
-        return acc / N
+        sources, table = cache[0]
+        # indices of the copies whose block object is not the one the row was made from
+        moved = list(compress(range(N), map(is_not, x.blocks, sources)))
+        if moved:
+            table = table.copy()
+            for l in moved:
+                xl = x.blocks[l]
+                table[l + 1] = xl - gamma * fs[l].grad(xl)
+            cache[0] = (x.blocks, table)
+        return np.add.accumulate(table, axis=0)[-1] / N
 
     def full(x: BlockVector) -> BlockVector:
         mc = mean_corrected(x)

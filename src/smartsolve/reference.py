@@ -100,17 +100,24 @@ def svrg_sched_clone(fs, x0, lam, tau, law: SamplingLaw, rng, iters: int):
 
 
 def finito_clone(fs, x0_copies, lam, gamma, law: SamplingLaw, rng, iters: int):
-    """Sampled copy moves to the average of gradient-corrected copies."""
+    """Sampled copy moves to the average of gradient-corrected copies.
+
+    ``C[l + 1]`` holds the corrected copy ``X[l] - gamma grad f_l(X[l])``;
+    only the row of the copy that moved is recomputed.  ``C[0]`` stays zero,
+    so the last prefix sum is the running sum ``0 + C[1] + ... + C[N]``.
+    """
     X = np.asarray(x0_copies, dtype=np.float64).copy()  # (N, d)
     N = X.shape[0]
+    C = np.zeros((N + 1, X.shape[1]))
+    for l in range(N):
+        C[l + 1] = X[l] - gamma * fs[l].grad(X[l])
     out = [X.copy()]
     for _ in range(iters):
         blocks, _, _ = draw(law, rng)
         j = blocks[0]
-        corrected = np.zeros(X.shape[1])
-        for l in range(N):
-            corrected += X[l] - gamma * fs[l].grad(X[l])
+        corrected = np.add.accumulate(C, axis=0)[-1]
         X[j] = (1.0 - lam) * X[j] + (lam / N) * corrected
+        C[j + 1] = X[j] - gamma * fs[j].grad(X[j])
         out.append(X.copy())
     return out
 

@@ -55,15 +55,19 @@ def substream(seed: int, name: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _categorical(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(weights)
+def _categorical(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of one index from the cumulative weights ``cdf``."""
     u = rng.random() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right").clip(0, len(weights) - 1))
+    return min(int(cdf.searchsorted(u, side="right")), len(cdf) - 1)
 
 
 @dataclass(frozen=True)
 class SamplingLaw:
-    """Block marginals, conditional operator law, and the dual coin."""
+    """Block marginals, conditional operator law, and the dual coin.
+
+    ``q_cdf`` is ``cumsum(q)`` and row ``j`` of ``p_cdf`` is ``cumsum(p[:, j])``,
+    both computed once for the inverse-CDF draws.
+    """
 
     q: np.ndarray
     p: np.ndarray
@@ -71,6 +75,8 @@ class SamplingLaw:
     block_mode: str = "single-block"
     subset_size: int = 1
     support: np.ndarray = field(default=None, repr=False)
+    q_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    p_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
@@ -106,6 +112,8 @@ class SamplingLaw:
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("dual-update probability must lie in (0, 1]")
         object.__setattr__(self, "support", p > 0.0)
+        object.__setattr__(self, "q_cdf", np.cumsum(q))
+        object.__setattr__(self, "p_cdf", np.ascontiguousarray(np.cumsum(p, axis=0).T))
 
     @property
     def n(self) -> int:
@@ -222,8 +230,7 @@ def draw(law: SamplingLaw, rng: np.random.Generator):
     """
     m = law.m
     if law.block_mode == "single-block":
-        j = _categorical(law.q, rng)
-        blocks = (j,)
+        blocks = (_categorical(law.q_cdf, rng),)
     elif law.block_mode == "independent-bernoulli":
         u = rng.random(m)
         blocks = tuple(int(j) for j in np.nonzero(u < law.q)[0])
@@ -232,11 +239,10 @@ def draw(law: SamplingLaw, rng: np.random.Generator):
         picked = np.argpartition(u, law.subset_size - 1)[: law.subset_size]
         blocks = tuple(int(j) for j in np.sort(picked))
 
-    if blocks:
-        weights = law.p[:, blocks[0]]
-        if len(blocks) > 1:
-            weights = law.p[:, list(blocks)].mean(axis=1)
-        i = _categorical(weights, rng)
+    if len(blocks) == 1:
+        i = _categorical(law.p_cdf[blocks[0]], rng)
+    elif blocks:
+        i = _categorical(np.cumsum(law.p[:, list(blocks)].mean(axis=1)), rng)
     else:
         i = None
 

@@ -132,7 +132,9 @@ class ReplayLog:
 
     @classmethod
     def load(cls, fh: io.BufferedReader) -> "ReplayLog":
-        """Read a log; a short read or an out-of-range index raises ``ValueError``."""
+        """Read a log; a short read, an out-of-range index, a coin other than
+        0 or 1, an unknown dual-delay kind or bytes after the last record
+        raise ``ValueError``."""
 
         def read(size):
             data = fh.read(size)
@@ -151,13 +153,17 @@ class ReplayLog:
             blocks = struct.unpack(f"<{ns}H", read(2 * ns)) if ns else ()
             if i_enc > log.n or (blocks and max(blocks) >= log.m):
                 raise ValueError(f"record {len(log)} indexes outside n={log.n}, m={log.m}")
+            if eps > 1:
+                raise ValueError(f"record {len(log)} has dual coin {eps}, not 0 or 1")
             d = np.frombuffer(read(log.m), dtype=np.uint8).astype(np.int64)
             (ekind,) = struct.unpack("<B", read(1))
             if ekind == 1:
                 (e,) = struct.unpack("<B", read(1))
                 e = int(e)
-            else:
+            elif ekind == 2:
                 e = np.frombuffer(read(log.n), dtype=np.uint8).astype(np.int64)
+            else:
+                raise ValueError(f"record {len(log)} has dual-delay kind {ekind}, not 1 or 2")
             log.append(
                 ReplayRecord(
                     blocks=tuple(int(b) for b in blocks),
@@ -167,6 +173,8 @@ class ReplayLog:
                     e=e,
                 )
             )
+        if fh.read(1):
+            raise ValueError(f"replay log has bytes after its {count} records")
         return log
 
     @classmethod
@@ -288,7 +296,7 @@ def delayed_read(buffer: HistoryBuffer, k: int, d) -> tuple:
     state-``k`` row's blocks verbatim (same array objects, no copies).
     """
     d = np.asarray(d, dtype=np.int64)
-    if np.any(d < 0) or np.any(d > buffer.capacity - 1):
+    if (d < 0).any() or (d > buffer.capacity - 1).any():
         raise ValueError(f"delays {d} exceed buffer capacity {buffer.capacity}")
     if not d.any():
         return tuple(buffer.read(k))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -132,6 +133,17 @@ def test_numerical_abort_exit_four(tmp_path):
     code = run_cli("run", "--preset", "kaczmarz", "--seed", "1",
                    "--iters", "4000", "--lam", "80.0", "--out", str(out))
     assert code == EXIT_NUMERIC
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_divergence_exits_four_naming_iteration_and_block(tmp_path, capsys):
+    # used to print "block 0 contains NaN or Inf", with no iteration
+    code = run_cli("run", "--preset", "saga", "--seed", "1", "--iters", "4000",
+                   "--lam", "1000", "--out", str(tmp_path / "blowup"))
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert re.search(r"numerical abort: iterate diverged at iteration \d+: block 0 ", err)
 
 
 def test_verify_equivalence_exit_codes():

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from smartsolve.engine import (
     run,
     step,
 )
+from smartsolve.instances import bundle_for
 from smartsolve.operators import BlockOperator, OperatorFamily, Quadratic
 from smartsolve.presets import build_kaczmarz, build_saga
 from smartsolve.problems import linear_system, ridge, ridge_terms
-from smartsolve.sampling import SamplingLaw, TriggerGraph, substream
+from smartsolve.sampling import SamplingLaw, TriggerGraph, draw, substream
 from smartsolve.schedule import DelaySchedule
 
 
@@ -267,3 +269,27 @@ def test_run_stops_on_residual():
     assert res.stopped_on == "residual"
     assert res.final_residual <= 1e-6
     assert res.iterations < 50_000
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("preset", ["saga", "coordinate-saga"])
+def test_divergence_raises_engine_error_naming_iteration_and_block(preset):
+    # saga used to fail with ValueError("block 0 contains NaN or Inf") from a BlockVector
+    b = bundle_for(preset, seed=0)
+    fam = b.family
+    state = init_state(fam, BlockVector.zeros(fam.layout), rng=substream(0, "sampling"))
+    sched, steps = DelaySchedule.zero(fam.m, fam.n), StepSizes.constant(1e3)
+    with pytest.raises(EngineError, match=r"diverged at iteration \d+: block \d+ is NaN or Inf") \
+            as info:
+        for _ in range(100_000):
+            step(state, b.law, b.graph, sched, steps)
+    k, j = map(int, re.search(r"iteration (\d+): block (\d+)", str(info.value)).groups())
+    # the named iteration is the one that failed, and the iterate before it is finite
+    assert k == state.k
+    assert all(np.isfinite(blk).all() for blk in state.x.blocks)
+    # the named block is one that iteration drew
+    rng = substream(0, "sampling")
+    for _ in range(k + 1):
+        blocks, _, _ = draw(b.law, rng)
+    assert j in blocks

@@ -195,6 +195,32 @@ def test_finito_identical_quadratics_one_sweep():
         np.testing.assert_allclose(state.x.blocks[j], c, atol=1e-12)
 
 
+def test_finito_operator_matches_a_full_recompute_bit_for_bit():
+    # the operator keeps a table of corrected copies keyed on block identity;
+    # every evaluation must equal the running sum over all copies, also when
+    # the vectors share some blocks and not others, and with one-dimensional
+    # copies, where numpy would sum a single column pairwise
+    rng = np.random.default_rng(11)
+    N, gamma = 20, 0.4
+    fs = [Quadratic(rng.standard_normal(1), curvature=float(c))
+          for c in rng.uniform(0.5, 2.0, N)]
+    b = build_finito(fs, gamma=gamma)
+    op = b.family.ops[0]
+    blocks = [rng.standard_normal(1) for _ in range(N)]
+    blocks[3] = np.array([-0.0])
+    for t in range(60):
+        for l in rng.choice(N, size=t % 4, replace=False):
+            blocks[l] = rng.standard_normal(1)
+        x = BlockVector(b.family.layout, tuple(blocks))
+        acc = np.zeros(1)
+        for xl, f in zip(x.blocks, fs):
+            acc += xl - gamma * f.grad(xl)
+        mc = acc / N
+        j = t % N
+        assert op.block(x, j).tobytes() == (x.blocks[j] - mc).tobytes()
+        assert op(x).flat().tobytes() == np.concatenate([xl - mc for xl in x.blocks]).tobytes()
+
+
 def test_finito_coherence_and_root_consensus(ridge_prob, ridge_fs):
     fs, L = ridge_fs
     mu_hat = min(f.strong_convexity for f in fs)

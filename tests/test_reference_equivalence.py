@@ -1,6 +1,7 @@
 """Engine-vs-hand-coded-update equivalence (the clone oracle checks)."""
 
 import numpy as np
+import pytest
 
 from smartsolve.blockspace import BlockVector
 from smartsolve.engine import init_state, run, step
@@ -14,7 +15,7 @@ from smartsolve.reference import (
     svrg_avg_clone,
     svrg_sched_clone,
 )
-from smartsolve.sampling import substream
+from smartsolve.sampling import draw, substream
 from smartsolve.verify import EQUIV_STEPS, EQUIV_TOL, equivalence_suite
 
 
@@ -97,3 +98,32 @@ def test_finito_and_sdca_clones():
     states = sdca_clone(qs, np.zeros((len(qs), 4)), db.steps.lo, mu0, db.law,
                         substream(19, "sampling"), 800)
     assert np.max(np.abs(res.x.flat() - states[-1].reshape(-1))) <= EQUIV_TOL
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_finito_clone_matches_a_full_recompute_bit_for_bit(dim):
+    # the clone refreshes one row of its table per step; this recurrence sums
+    # every corrected copy afresh (one column, dim = 1, is where numpy's
+    # pairwise sums would differ from a running sum)
+    N, iters = 12, 300
+    prob = ridge(rows=N, dim=dim, reg=0.3, seed=7)
+    fs, _ = ridge_terms(prob)
+    b = bundle_for("finito", problem=prob)
+    lam, gamma = b.steps.lo, b.extras["gamma"]
+    x0 = substream(3, "init").standard_normal((N, dim))
+    X = x0.copy()
+    rng = substream(21, "sampling")
+    naive = [X.copy()]
+    for _ in range(iters):
+        blocks, _, _ = draw(b.law, rng)
+        j = blocks[0]
+        corrected = np.zeros(dim)
+        for l in range(N):
+            corrected += X[l] - gamma * fs[l].grad(X[l])
+        X[j] = (1.0 - lam) * X[j] + (lam / N) * corrected
+        naive.append(X.copy())
+    states = finito_clone(fs, x0, lam, gamma, b.law, substream(21, "sampling"), iters)
+    assert len(states) == len(naive)
+    for mine, theirs in zip(states, naive):
+        assert mine.tobytes() == theirs.tobytes()
+

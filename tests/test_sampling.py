@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartsolve.instances import bundle_for
 from smartsolve.problems import ridge
@@ -133,6 +135,67 @@ def test_draws_are_reproducible():
     seq1 = [draw(law, rng1) for _ in range(200)]
     seq2 = [draw(law, rng2) for _ in range(200)]
     assert seq1 == seq2
+
+
+def _draw_with_per_call_cdfs(law, rng):
+    """``draw`` as written before the laws stored their CDFs."""
+
+    def categorical(weights):
+        cdf = np.cumsum(weights)
+        u = rng.random() * cdf[-1]
+        return int(np.searchsorted(cdf, u, side="right").clip(0, len(weights) - 1))
+
+    if law.block_mode == "single-block":
+        blocks = (categorical(law.q),)
+    elif law.block_mode == "independent-bernoulli":
+        u = rng.random(law.m)
+        blocks = tuple(int(j) for j in np.nonzero(u < law.q)[0])
+    else:
+        u = rng.random(law.m)
+        picked = np.argpartition(u, law.subset_size - 1)[: law.subset_size]
+        blocks = tuple(int(j) for j in np.sort(picked))
+    i = None
+    if blocks:
+        weights = law.p[:, blocks[0]]
+        if len(blocks) > 1:
+            weights = law.p[:, list(blocks)].mean(axis=1)
+        i = categorical(weights)
+    eps = 1 if law.rho >= 1.0 else int(rng.random() < law.rho)
+    return blocks, i, eps
+
+
+@st.composite
+def sampling_laws(draw_):
+    mode = draw_(st.sampled_from(["single-block", "independent-bernoulli", "fixed-size-k"]))
+    n, m = draw_(st.integers(1, 6)), draw_(st.integers(1, 6))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    # multi-block draws need block-constant conditionals
+    cols = 1 if mode != "single-block" else m
+    p = np.array(draw_(st.lists(st.lists(mass, min_size=n, max_size=n),
+                                min_size=cols, max_size=cols))).T
+    p[0, p.sum(axis=0) == 0.0] = 1.0
+    p = np.repeat(p / p.sum(axis=0), m // cols, axis=1)
+    k = 1
+    if mode == "single-block":
+        q = np.array(draw_(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+        q = q / q.sum()
+    elif mode == "independent-bernoulli":
+        q = np.array(draw_(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+    else:
+        k = draw_(st.integers(1, m))
+        q = np.full(m, k / m)
+    rho = draw_(st.one_of(st.just(1.0), st.floats(0.05, 0.95)))
+    return SamplingLaw(q=q, p=p, rho=rho, block_mode=mode, subset_size=k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampling_laws(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_draw_with_stored_cdfs_equals_the_per_call_formula(law, seed, count):
+    rng_a, rng_b = substream(seed, "sampling"), substream(seed, "sampling")
+    for _ in range(count):
+        assert draw(law, rng_a) == _draw_with_per_call_cdfs(law, rng_b)
+    # both spent the same randomness
+    assert rng_a.random() == rng_b.random()
 
 
 def test_substreams_are_independent_and_named():

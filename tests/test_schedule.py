@@ -216,6 +216,36 @@ def test_replay_log_load_rejects_indices_outside_the_log():
             ReplayLog.loads(bad)
 
 
+def _first_record_offset(blob):
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    return 12 + hlen            # magic, header length, header, record count
+
+
+def test_replay_log_load_rejects_trailing_bytes():
+    # a five-record log with bytes appended used to load as five records
+    blob = _five_record_log().dumps()
+    with pytest.raises(ValueError, match="after its 5 records"):
+        ReplayLog.loads(blob + b"\x00\x01garbage")
+
+
+def test_replay_log_load_rejects_an_unknown_dual_delay_kind():
+    # kind 7 used to be read as a per-operator e
+    blob = _five_record_log().dumps()
+    at = _first_record_offset(blob) + 7 + 2 + 2     # after the fixed fields, block, d
+    for kind in (0, 3, 7):
+        with pytest.raises(ValueError, match="dual-delay kind"):
+            ReplayLog.loads(blob[:at] + bytes([kind]) + blob[at + 1:])
+
+
+def test_replay_log_load_rejects_a_dual_coin_above_one():
+    # eps = 9 used to load as 9, which the engine takes for a coin that came up
+    blob = _five_record_log().dumps()
+    at = _first_record_offset(blob) + 4             # after the op index
+    for eps in (2, 9, 255):
+        with pytest.raises(ValueError, match="dual coin"):
+            ReplayLog.loads(blob[:at] + bytes([eps]) + blob[at + 1:])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_replay_log_round_trip_at_the_field_limits(data):
