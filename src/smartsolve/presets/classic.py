@@ -166,10 +166,11 @@ def build_finito(
     an evaluation updates only where a copy moved: row ``l + 1`` holds
     ``x_l - gamma grad f_l(x_l)`` for the block array ``sources[l]``, which
     it is matched to by identity (blocks are never written in place).
-    Row 0 stays zero, so the prefix sum that adds the rows up starts at
-    +0.0 and runs in row order, giving the bits of a plain running sum.
-    The ``(sources, table)`` pair is replaced whole, never changed, so
-    threads evaluating at once each use a consistent pair.
+    Row 0 stays zero, so the prefix sum of the rows starts at +0.0 and runs
+    in row order, giving the bits of a plain running sum (``np.add.reduce``
+    would sum one-dimensional copies pairwise).  The ``(sources, table)``
+    pair is replaced whole, never changed, so concurrent evaluations each
+    use a consistent pair.
     """
     from . import PresetBundle
 
@@ -183,18 +184,19 @@ def build_finito(
     d0 = np.asarray(fs[0].grad(_probe_zero(fs[0]))).size
     layout = BlockLayout((d0,) * N)
 
-    cache = [((None,) * N, np.zeros((N + 1, d0)))]
+    cached = ((None,) * N, np.zeros((N + 1, d0)))     # (sources, table)
 
     def mean_corrected(x: BlockVector) -> np.ndarray:
-        sources, table = cache[0]
-        # indices of the copies whose block object is not the one the row was made from
+        nonlocal cached
+        sources, table = cached
+        # the copies whose block object is not the one their row was made from
         moved = list(compress(range(N), map(is_not, x.blocks, sources)))
         if moved:
             table = table.copy()
             for l in moved:
                 xl = x.blocks[l]
                 table[l + 1] = xl - gamma * fs[l].grad(xl)
-            cache[0] = (x.blocks, table)
+            cached = (x.blocks, table)
         return np.add.accumulate(table, axis=0)[-1] / N
 
     def full(x: BlockVector) -> BlockVector:

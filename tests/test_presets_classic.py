@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -195,6 +198,13 @@ def test_finito_identical_quadratics_one_sweep():
         np.testing.assert_allclose(state.x.blocks[j], c, atol=1e-12)
 
 
+def _mean_corrected_by_running_sum(fs, gamma, x):
+    acc = np.zeros(x.blocks[0].shape)
+    for xl, f in zip(x.blocks, fs):
+        acc += xl - gamma * f.grad(xl)
+    return acc / len(fs)
+
+
 def test_finito_operator_matches_a_full_recompute_bit_for_bit():
     # the operator keeps a table of corrected copies keyed on block identity;
     # every evaluation must equal the running sum over all copies, also when
@@ -212,13 +222,49 @@ def test_finito_operator_matches_a_full_recompute_bit_for_bit():
         for l in rng.choice(N, size=t % 4, replace=False):
             blocks[l] = rng.standard_normal(1)
         x = BlockVector(b.family.layout, tuple(blocks))
-        acc = np.zeros(1)
-        for xl, f in zip(x.blocks, fs):
-            acc += xl - gamma * f.grad(xl)
-        mc = acc / N
+        mc = _mean_corrected_by_running_sum(fs, gamma, x)
         j = t % N
         assert op.block(x, j).tobytes() == (x.blocks[j] - mc).tobytes()
         assert op(x).flat().tobytes() == np.concatenate([xl - mc for xl in x.blocks]).tobytes()
+
+
+def test_finito_operator_table_under_concurrent_evaluation():
+    # more threads than cores, switching every 10 us, share the operator's
+    # table; every evaluation must still equal the running sum over its own
+    # copies, which a torn (sources, table) pair would break
+    N, d, gamma = 16, 3, 0.4
+    rng = np.random.default_rng(13)
+    fs = [Quadratic(rng.standard_normal(d), curvature=float(c))
+          for c in rng.uniform(0.5, 2.0, N)]
+    b = build_finito(fs, gamma=gamma)
+    op = b.family.ops[0]
+    base = [rng.standard_normal(d) for _ in range(N)]
+    wrong, finished = [], []
+
+    def worker(seed):
+        r = np.random.default_rng(seed)
+        blocks = list(base)
+        for _ in range(200):
+            blocks[int(r.integers(N))] = r.standard_normal(d)
+            x = BlockVector(b.family.layout, tuple(blocks))
+            mc = _mean_corrected_by_running_sum(fs, gamma, x)
+            j = int(r.integers(N))
+            if op.block(x, j).tobytes() != (x.blocks[j] - mc).tobytes():
+                wrong.append((seed, j))
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 1, 2, 3] and wrong == []
 
 
 def test_finito_coherence_and_root_consensus(ridge_prob, ridge_fs):
