@@ -11,9 +11,6 @@ from .blockspace import (
     BlockLayout,
     BlockVector,
     Metric,
-    block_norm_sq,
-    block_weighted_metric,
-    equivalence_constants,
     gram_metric,
     inner,
     norm_sq,
@@ -25,8 +22,6 @@ from .operators import (
     OperatorFamily,
     aggregate,
     gradient_op,
-    prox_op,
-    resolvent_op,
     subgradient_projector,
     verify_coherence,
     verify_quasi_monotone,

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockspace import BlockVector
-from .diagnostics import residual
-from .engine import DualTable, _apply, _plan
+from .engine import DualTable, _apply, _plan, _residual
 from .operators import OperatorFamily
 from .sampling import SamplingLaw, TriggerGraph, draw, substream
 from .schedule import MAX_DELAY, ReplayLog, ReplayRecord
@@ -182,7 +181,7 @@ def _post_commit(shared: _Shared, count: int):
         shared.stopped = shared.stopped or "max-iterations"
         return
     if shared.stop_resid is not None and count % shared.config.check_every == 0:
-        if residual(shared.family, shared.current_x()) <= shared.stop_resid:
+        if _residual(shared.family, shared.current_x(), count) <= shared.stop_resid:
             shared.stopped = "residual"
 
 
@@ -227,7 +226,7 @@ def run_async(
         x=x,
         log=shared.log,
         iterations=shared.commits,
-        final_residual=residual(family, x),
+        final_residual=_residual(family, x, shared.commits),
         stopped_on=shared.stopped or "max-iterations",
         max_primal_delay=shared.max_d,
         max_dual_delay=shared.max_e,

@@ -2,11 +2,11 @@
 
 The ambient space is a direct sum of ``m`` real coordinate blocks.  All
 per-block inner products are the standard Euclidean ones; what varies is
-the inner product on the *total* space, which may be the plain product
-metric, a blockwise weighted metric, or the quadratic form of an explicit
-symmetric positive-definite matrix.  Every metric carries per-block
-equivalence constants ``(m_lo[j], m_hi[j])`` sandwiching the total norm
-between weighted sums of block norms:
+the inner product on the *total* space, which is either the plain product
+metric or the quadratic form of an explicit symmetric positive-definite
+matrix.  Every metric carries per-block equivalence constants
+``(m_lo[j], m_hi[j])`` sandwiching the total norm between weighted sums of
+block norms:
 
     sum_j m_lo[j] * |x_j|^2  <=  |x|^2  <=  sum_j m_hi[j] * |x_j|^2.
 
@@ -25,12 +25,9 @@ __all__ = [
     "BlockVector",
     "Metric",
     "product_metric",
-    "block_weighted_metric",
     "gram_metric",
     "inner",
     "norm_sq",
-    "block_norm_sq",
-    "equivalence_constants",
 ]
 
 
@@ -134,12 +131,6 @@ class BlockVector:
     def copy(self) -> "BlockVector":
         return BlockVector(self.layout, tuple(b.copy() for b in self.blocks))
 
-    def replace_block(self, j: int, value: np.ndarray) -> "BlockVector":
-        """Copy-on-write single-block substitution (shares the other blocks)."""
-        blocks = list(self.blocks)
-        blocks[j] = value
-        return BlockVector(self.layout, tuple(blocks))
-
     def __add__(self, other: "BlockVector") -> "BlockVector":
         self._check_same_layout(other)
         return BlockVector(
@@ -177,7 +168,7 @@ class BlockVector:
 class Metric:
     """Inner product on the total space together with its sandwich constants.
 
-    ``kind`` is one of ``"product"``, ``"block_weighted"``, ``"gram"``.
+    ``kind`` is ``"product"`` or ``"gram"``.
     ``m_lo``/``m_hi`` are the per-block equivalence constants.  For the
     gram kind, ``matrix`` holds the SPD matrix and ``chol`` its (lower)
     Cholesky factor; inner products go through the factor so the induced
@@ -188,26 +179,13 @@ class Metric:
     layout: BlockLayout
     m_lo: np.ndarray
     m_hi: np.ndarray
-    weights: np.ndarray | None = None
     matrix: np.ndarray | None = None
     chol: np.ndarray | None = field(default=None, repr=False)
-
-    def is_product(self) -> bool:
-        return self.kind == "product"
 
 
 def product_metric(layout: BlockLayout) -> Metric:
     ones = np.ones(layout.m)
     return Metric("product", layout, ones, ones.copy())
-
-
-def block_weighted_metric(layout: BlockLayout, weights) -> Metric:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (layout.m,):
-        raise DimensionError(f"need {layout.m} weights, got shape {w.shape}")
-    if np.any(w <= 0):
-        raise ValueError("block weights must be strictly positive")
-    return Metric("block_weighted", layout, w.copy(), w.copy(), weights=w)
 
 
 def gram_metric(layout: BlockLayout, matrix, m_lo=None, m_hi=None) -> Metric:
@@ -256,10 +234,6 @@ def inner(metric: Metric, x: BlockVector, y: BlockVector) -> float:
     _check_metric_vector(metric, y)
     if metric.kind == "product":
         return float(sum(a @ b for a, b in zip(x.blocks, y.blocks)))
-    if metric.kind == "block_weighted":
-        return float(
-            sum(w * (a @ b) for w, a, b in zip(metric.weights, x.blocks, y.blocks))
-        )
     # gram: <x, y>_P = (L^T x) . (L^T y) with P = L L^T
     lx = metric.chol.T @ x.flat()
     ly = metric.chol.T @ y.flat()
@@ -268,20 +242,3 @@ def inner(metric: Metric, x: BlockVector, y: BlockVector) -> float:
 
 def norm_sq(metric: Metric, x: BlockVector) -> float:
     return inner(metric, x, x)
-
-
-def block_norm_sq(x: BlockVector, j: int) -> float:
-    """Squared Euclidean norm of block ``j`` (1-indexed blocks not used;
-    ``j`` is a 0-based index like everywhere else in this package)."""
-    if not 0 <= j < x.layout.m:
-        raise IndexError(f"block index {j} out of range for m={x.layout.m}")
-    b = x.blocks[j]
-    return float(b @ b)
-
-
-def equivalence_constants(metric: Metric, layout: BlockLayout):
-    """Per-block sandwich constants ``(m_lo, m_hi)`` of the metric."""
-    if metric.layout.dims != layout.dims:
-        raise DimensionError("metric was built for a different layout")
-    return metric.m_lo.copy(), metric.m_hi.copy()
-

@@ -55,6 +55,12 @@ class RunConfig:
     out: str = "."
     preset_params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.iters < 0:
+            raise ConfigError(f"--iters must be >= 0, got {self.iters}")
+        if self.trace_stride < 1:
+            raise ConfigError(f"--trace-stride must be >= 1, got {self.trace_stride}")
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -192,9 +198,10 @@ def cmd_run(args) -> int:
             log = result.log
             replay_gap = None
     except (EngineError, WorkerFailure, FloatingPointError, ValueError) as exc:
-        # the bundle and the schedule were already validated: a diverged iterate
-        # raises EngineError, a non-finite operator value FloatingPointError or
-        # (from the BlockVector it builds) ValueError
+        # the bundle, the schedule and the budget were already validated: a
+        # diverged iterate or residual raises EngineError, a non-finite operator
+        # value in a step FloatingPointError or (from the BlockVector it builds)
+        # ValueError
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -62,7 +62,16 @@ RESUM_DRIFT_TOL = 1e-9
 
 
 class EngineError(RuntimeError):
-    """A run cannot go on; a diverged iterate is reported with its iteration and block."""
+    """A run cannot go on; a divergence is reported with the iteration it happened at."""
+
+
+def _residual(family: OperatorFamily, x: BlockVector, k: int) -> float:
+    """``diagnostics.residual`` at iteration ``k``; an operator value that is
+    not finite at a finite iterate raises :class:`EngineError` naming ``k``."""
+    try:
+        return residual(family, x)
+    except (ValueError, FloatingPointError) as exc:
+        raise EngineError(f"residual at iteration {k} failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -408,6 +417,10 @@ def run(
     ones, reproducing a recorded run exactly.  The returned log replays the
     run that was just performed.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if trace_stride < 1:
+        raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
     if replay is not None:
         max_iters = min(max_iters, len(replay))
     state = init_state(
@@ -419,7 +432,7 @@ def run(
 
     def observe(k, rec: ReplayRecord | None):
         x = state.x
-        res = residual(family, x)
+        res = _residual(family, x, k)
         dsq = None if oracle is None else float(oracle.dist_sq(x))
         lam = steps.value(max(k - 1, 0))
         i_k = None if rec is None else rec.op_index

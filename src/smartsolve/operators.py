@@ -40,9 +40,7 @@ __all__ = [
     "OperatorFamily",
     "aggregate",
     "gradient_op",
-    "prox_op",
     "subgradient_projector",
-    "resolvent_op",
     "verify_coherence",
     "verify_quasi_monotone",
     "Quadratic",
@@ -276,9 +274,7 @@ class LogisticTerm:
 def gradient_op(f, lipschitz: float, layout: BlockLayout | None = None) -> BlockOperator:
     """Wrap a smooth handle's gradient as a single-block operator.
 
-    ``lipschitz`` must be positive; it is recorded on the returned operator
-    for later coherence bookkeeping (one operator in an n-term family
-    contributes 1/(L n) to the family's beta column).
+    ``lipschitz``, the gradient's Lipschitz constant, must be positive.
     """
     if lipschitz <= 0:
         raise ValueError("Lipschitz constant must be positive")
@@ -292,9 +288,7 @@ def gradient_op(f, lipschitz: float, layout: BlockLayout | None = None) -> Block
             raise FloatingPointError("gradient evaluation produced NaN/Inf")
         return BlockVector(layout, (g,))
 
-    op = BlockOperator(layout, full=full)
-    op.lipschitz = float(lipschitz)
-    return op
+    return BlockOperator(layout, full=full)
 
 
 def _probe_dim(f):
@@ -414,15 +408,6 @@ class MoreauConjugate:
         raise CapabilityError("conjugate values are not tabulated; use the prox")
 
 
-def prox_op(g, gamma: float):
-    """Return ``v -> prox_{gamma g}(v)`` for a catalog function handle."""
-    if gamma <= 0:
-        raise ValueError("prox step must be positive")
-    if not hasattr(g, "prox"):
-        raise CapabilityError(f"{type(g).__name__} ships no proximal operator")
-    return lambda v: g.prox(v, gamma)
-
-
 # ---------------------------------------------------------------------------
 # subgradient projector
 
@@ -482,15 +467,6 @@ class SaddleProxMap:
         v = np.asarray(v, dtype=np.float64)
         w, z = v[: self.dim_w], v[self.dim_w:]
         return np.concatenate([self.g1.prox(w, gamma), self.g2.prox(z, gamma)])
-
-
-def resolvent_op(A, gamma: float):
-    """Return ``v -> (I + gamma A)^{-1} v`` for a supported handle."""
-    if gamma <= 0:
-        raise ValueError("resolvent step must be positive")
-    if not hasattr(A, "resolvent"):
-        raise CapabilityError(f"{type(A).__name__} ships no resolvent")
-    return lambda v: A.resolvent(v, gamma)
 
 
 # ---------------------------------------------------------------------------

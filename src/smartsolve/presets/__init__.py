@@ -31,7 +31,6 @@ __all__ = [
     "build_coordinate_saga",
     "build_minibatch",
     "build_lin_saga",
-    "build_lin_saga_affine",
     "build_super_saga",
     "build_tropic",
     "build_prox_smart",
@@ -108,7 +107,6 @@ from .classic import (  # noqa: E402
 from .composite import build_coordinate_saga, build_minibatch, build_prox_saga  # noqa: E402
 from .structured import (  # noqa: E402
     build_lin_saga,
-    build_lin_saga_affine,
     build_mono,
     build_prox_smart,
     build_prox_smart_plus,

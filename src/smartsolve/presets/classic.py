@@ -19,7 +19,7 @@ from ..blockspace import BlockLayout, BlockVector, product_metric
 from ..diagnostics import AffineOracle, PointOracle
 from ..engine import StepSizes
 from ..operators import BlockOperator, OperatorFamily, gradient_op, subgradient_projector
-from ..sampling import SamplingLaw, TriggerGraph
+from ..sampling import SamplingLaw, TriggerGraph, importance_law
 from ..schedule import DelaySchedule
 from ..stepsize import table1_preset
 
@@ -57,8 +57,11 @@ def build_saga(
     root = None if x_star is None else BlockVector(layout, (np.asarray(x_star, float),))
     family = OperatorFamily(layout, ops, beta, star, metric=product_metric(layout),
                             mu=mu, known_root=root)
-    p = (L / L.sum() if importance else np.full(N, 1.0 / N)).reshape(-1, 1)
-    law = SamplingLaw(q=np.ones(1), p=p, rho=rho, block_mode="single-block")
+    if importance:
+        law = importance_law(L, rho)
+    else:
+        p = np.full((N, 1), 1.0 / N)
+        law = SamplingLaw(q=np.ones(1), p=p, rho=rho, block_mode="single-block")
     graph = TriggerGraph.self_loops(N)
     sched = DelaySchedule.zero(m=1, n=N)
     L_eff = float(L.mean() if importance else L.max())

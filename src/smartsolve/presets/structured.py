@@ -135,25 +135,6 @@ def build_lin_saga(
     )
 
 
-def build_lin_saga_affine(fs, g, A, b, **kwargs):
-    """Affine-constraint front end: shift by a particular solution of Ax = b
-    and run over its null space."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.linalg.norm(A @ c - b) > 1e-8 * max(1.0, np.linalg.norm(b)):
-        raise ValueError("affine constraint is infeasible")
-    P_V = np.eye(A.shape[1]) - np.linalg.pinv(A) @ A
-    shifted_fs = [ShiftedSmooth(f, c) for f in fs]
-    shifted_g = ShiftedProx(g, c)
-    bundle = build_lin_saga(shifted_fs, shifted_g, P_V, **kwargs)
-    bundle.name = "lin-saga-affine"
-    inner_transport = bundle.transport
-    bundle.transport = lambda x: inner_transport(x) + c
-    bundle.extras["shift"] = c
-    return bundle
-
-
 def _mean_block_basis(M: int) -> np.ndarray:
     """Orthonormal M x M matrix whose first row is the normalized all-ones."""
     base = np.eye(M)

@@ -40,8 +40,6 @@ __all__ = [
     "fused_composite",
     "tropic_instance",
     "ChainBlockQuadratic",
-    "QuadraticCoupling",
-    "lasso_cd_oracle",
 ]
 
 GENERATORS = {}

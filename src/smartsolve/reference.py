@@ -46,55 +46,46 @@ def saga_clone(fs, x0, lam, law: SamplingLaw, rng, iters: int):
 
 
 def svrg_avg_clone(fs, x0, lam, law: SamplingLaw, rng, iters: int):
-    """Primal step as above; with probability rho all duals refresh at x."""
+    """Primal step as above; with probability rho a new full-gradient
+    snapshot is taken at the iterate the step started from."""
     x = np.asarray(x0, dtype=np.float64).copy()
     N = len(fs)
     y = np.array([f.grad(x) for f in fs])
     ysum = np.sum(y, axis=0)
     out = [x.copy()]
-    commits = 0
-    for k in range(iters):
+    for _ in range(iters):
         _, i, eps = draw(law, rng)
         g = fs[i].grad(x)
         x_prev = x
         x = x - lam * (g - y[i] + ysum / N)
         if eps:
-            for l in range(N):
-                gl = g if l == i else fs[l].grad(x_prev)
-                ysum = ysum - y[l] + gl
-                y[l] = gl
-            commits += 1
-            if commits % RESUM_EVERY == 0:
-                ysum = np.sum(y, axis=0)
+            y = np.array([f.grad(x_prev) for f in fs])
+            ysum = np.sum(y, axis=0)
         out.append(x.copy())
     return out
 
 
 def svrg_sched_clone(fs, x0, lam, tau, law: SamplingLaw, rng, iters: int):
-    """Duals refresh every iteration but are read through a cyclic delay."""
+    """SVRG with a full-gradient snapshot every ``tau + 1`` iterations
+    (Johnson & Zhang 2013).
+
+    At each iteration k with ``k % (tau + 1) == 0`` the snapshot is taken at
+    the iterate the previous step started from (``x0`` when k = 0).  That is
+    the dual table the engine, which refreshes every iteration, reads through
+    its cyclic delay.
+    """
     x = np.asarray(x0, dtype=np.float64).copy()
+    x_prev = x
     N = len(fs)
-    y = np.array([f.grad(x) for f in fs])
-    history = [(y.copy(), np.sum(y, axis=0))]  # state t -> table y^t
     out = [x.copy()]
-    commits = 0
     for k in range(iters):
         _, i, _ = draw(law, rng)
-        e = k % (tau + 1)
-        y_old, ysum_old = history[k - e]
+        if k % (tau + 1) == 0:
+            y = np.array([f.grad(x_prev) for f in fs])
+            ysum = np.sum(y, axis=0)
         g = fs[i].grad(x)
         x_prev = x
-        x = x - lam * (g - y_old[i] + ysum_old / N)
-        ysum = history[-1][1]
-        y = history[-1][0].copy()
-        for l in range(N):
-            gl = g if l == i else fs[l].grad(x_prev)
-            ysum = ysum - y[l] + gl
-            y[l] = gl
-        commits += 1
-        if commits % RESUM_EVERY == 0:
-            ysum = np.sum(y, axis=0)
-        history.append((y, ysum))
+        x = x - lam * (g - y[i] + ysum / N)
         out.append(x.copy())
     return out
 

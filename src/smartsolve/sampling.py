@@ -36,7 +36,6 @@ __all__ = [
     "trigger_prob",
     "importance_law",
     "substream",
-    "BLOCK_MODES",
 ]
 
 BLOCK_MODES = ("single-block", "independent-bernoulli", "fixed-size-k")

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "DelaySchedule",
     "HistoryBuffer",
-    "MAX_BLOCKS",
     "MAX_DELAY",
     "delayed_read",
     "inconsistency",

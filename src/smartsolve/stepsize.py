@@ -111,10 +111,10 @@ def linear_bound(
 
     Returns ``(lam, factor, window)``: the expected squared distance to the
     solution set contracts by ``factor`` every ``window`` iterations when
-    running at step ``lam``.  The synchronous case (both caps zero) uses
-    the tighter dedicated bound with ``window == m``... more precisely the
-    factor is per iteration (``window == 1``) with the modulus scaled by
-    ``m``; asynchronously the window is ``tau_p + 1``.
+    running at step ``lam``.  When both caps are zero the dedicated
+    synchronous bound applies, ``window`` is 1 and ``factor`` is
+    ``1 - 2 alpha mu lam / m``; otherwise ``window`` is ``tau_p + 1`` and
+    ``factor`` is ``1 - 2 alpha mu lam / (tau_p + 1)``.
     """
     if family.mu is None:
         raise ValueError("linear bound needs the quasi-monotonicity modulus")

@@ -5,7 +5,7 @@ import pytest
 
 from smartsolve.asyncexec import AsyncConfig, WorkerFailure, run_async
 from smartsolve.blockspace import BlockLayout, BlockVector
-from smartsolve.engine import StepSizes, run
+from smartsolve.engine import EngineError, StepSizes, run
 from smartsolve.instances import PRESET_PROBLEM_KINDS, bundle_for
 from smartsolve.operators import BlockOperator, OperatorFamily
 from smartsolve.problems import linear_system, ridge
@@ -130,6 +130,23 @@ def test_worker_failure_aborts_with_diagnostic():
         run_async(cfg, fam, law, TriggerGraph.self_loops(1),
                   StepSizes.constant(0.1), BlockVector(layout, (np.ones(2),)),
                   max_iters=10_000, seed=31)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_overflowing_residual_raises_engine_error_naming_the_commit():
+    # the iterate after commit 90 is finite but its operator values are not
+    b = bundle_for("saga", seed=0)
+    fam = b.family
+    x0 = BlockVector.zeros(fam.layout)
+    args = (fam, b.law, b.graph, StepSizes.constant(1e3), x0)
+    # the final residual
+    with pytest.raises(EngineError, match=r"^residual at iteration 90 failed: "):
+        run_async(AsyncConfig(workers=1), *args, max_iters=90, seed=0)
+    # the stop check, run by the worker that made the commit
+    with pytest.raises(WorkerFailure, match=r"residual at iteration 90 failed: "):
+        run_async(AsyncConfig(workers=1, check_every=10), *args, max_iters=1000,
+                  stop_resid=1e-12, seed=0)
 
 
 def test_async_config_validation():

@@ -7,9 +7,6 @@ from smartsolve.blockspace import (
     BlockLayout,
     BlockVector,
     DimensionError,
-    block_norm_sq,
-    block_weighted_metric,
-    equivalence_constants,
     gram_metric,
     inner,
     norm_sq,
@@ -61,23 +58,13 @@ def test_inner_product_metric_example():
     assert inner(product_metric(layout), x, x) == 5.0
 
 
-def test_block_norm_examples():
-    layout = BlockLayout((2, 1))
-    x = BlockVector(layout, (np.array([3.0, 4.0]), np.array([1.0])))
-    assert block_norm_sq(x, 0) == 25.0
-    z = BlockVector.zeros(layout)
-    assert all(block_norm_sq(z, j) == 0.0 for j in range(2))
-    with pytest.raises(IndexError):
-        block_norm_sq(x, 2)
-
-
 def test_block_norms_sum_to_product_norm():
     rng = np.random.default_rng(0)
     layout = BlockLayout((3, 2, 4))
     metric = product_metric(layout)
     for _ in range(50):
         x = BlockVector(layout, tuple(rng.standard_normal(d) for d in layout.dims))
-        total = sum(block_norm_sq(x, j) for j in range(layout.m))
+        total = sum(float(b @ b) for b in x.blocks)
         assert total == pytest.approx(inner(metric, x, x), rel=1e-14)
 
 
@@ -110,9 +97,9 @@ def test_layout_mismatch_raises():
 
 def test_equivalence_constants_product():
     layout = BlockLayout((2, 5))
-    lo, hi = equivalence_constants(product_metric(layout), layout)
-    np.testing.assert_array_equal(lo, np.ones(2))
-    np.testing.assert_array_equal(hi, np.ones(2))
+    metric = product_metric(layout)
+    np.testing.assert_array_equal(metric.m_lo, np.ones(2))
+    np.testing.assert_array_equal(metric.m_hi, np.ones(2))
 
 
 def test_equivalence_constants_closed_form_example():
@@ -128,9 +115,8 @@ def test_equivalence_constants_closed_form_example():
         gammas=np.array([0.5, 0.5]),
         delta=0.25,
     )
-    lo, hi = equivalence_constants(bundle.family.metric, bundle.family.layout)
-    np.testing.assert_allclose(lo, [1.0, 1.0])
-    np.testing.assert_allclose(hi, [3.0, 3.0])
+    np.testing.assert_allclose(bundle.family.metric.m_lo, [1.0, 1.0])
+    np.testing.assert_allclose(bundle.family.metric.m_hi, [3.0, 3.0])
     rng = np.random.default_rng(7)
     _sandwich_holds(bundle.family.metric, bundle.family.layout, rng, trials=1000)
 
@@ -139,8 +125,8 @@ def _sandwich_holds(metric, layout, rng, trials=1000, slack=1e-10):
     for _ in range(trials):
         x = BlockVector(layout, tuple(rng.standard_normal(d) for d in layout.dims))
         total = norm_sq(metric, x)
-        low = sum(metric.m_lo[j] * block_norm_sq(x, j) for j in range(layout.m))
-        high = sum(metric.m_hi[j] * block_norm_sq(x, j) for j in range(layout.m))
+        low = sum(lo * float(b @ b) for lo, b in zip(metric.m_lo, x.blocks))
+        high = sum(hi * float(b @ b) for hi, b in zip(metric.m_hi, x.blocks))
         scale = max(1.0, abs(total))
         assert low <= total + slack * scale
         assert total <= high + slack * scale
@@ -156,13 +142,6 @@ def test_gram_spectral_sandwich_random_spd():
     eigs = np.linalg.eigvalsh(P)
     assert metric.m_lo[0] == pytest.approx(eigs[0])
     assert metric.m_hi[0] == pytest.approx(eigs[-1])
-    _sandwich_holds(metric, layout, rng)
-
-
-def test_block_weighted_sandwich():
-    rng = np.random.default_rng(3)
-    layout = BlockLayout((2, 4))
-    metric = block_weighted_metric(layout, [0.5, 2.0])
     _sandwich_holds(metric, layout, rng)
 
 
@@ -214,11 +193,3 @@ def test_inner_symmetric_bilinear(seed):
     right = a * inner(metric, x, z) + b * inner(metric, y, z)
     assert left == pytest.approx(right, abs=1e-10 * (1 + abs(left)))
 
-
-def test_copy_on_write_replace_block():
-    layout = BlockLayout((2, 2))
-    x = BlockVector.zeros(layout)
-    y = x.replace_block(1, np.ones(2))
-    assert x.blocks[0] is y.blocks[0]
-    np.testing.assert_array_equal(x.blocks[1], np.zeros(2))
-    np.testing.assert_array_equal(y.blocks[1], np.ones(2))

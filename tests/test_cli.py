@@ -120,6 +120,11 @@ def test_config_errors_exit_two(tmp_path):
     for mode in ("delay", "async"):
         assert run_cli("run", "--preset", "kaczmarz", "--mode", mode,
                        "--tau-p", "300", "--out", out) == EXIT_CONFIG
+    # a negative budget or a trace stride below one, in every mode
+    for mode in ("sync", "async"):
+        for bad in (("--trace-stride", "0"), ("--trace-stride", "-5"), ("--iters", "-3")):
+            assert run_cli("run", "--preset", "kaczmarz", "--mode", mode, *bad,
+                           "--out", out) == EXIT_CONFIG
     # a parameter the generator does not take, or a value it rejects
     for param in ("foo=1", "rows=-3"):
         assert run_cli("generate", "--kind", "ridge", "--out", str(tmp_path / "r.json"),
@@ -144,6 +149,17 @@ def test_divergence_exits_four_naming_iteration_and_block(tmp_path, capsys):
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert re.search(r"numerical abort: iterate diverged at iteration \d+: block 0 ", err)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_overflowing_residual_exits_four_naming_the_iteration(tmp_path, capsys):
+    # used to print "block 0 contains NaN or Inf", with no iteration
+    code = run_cli("run", "--preset", "saga", "--seed", "0", "--iters", "90",
+                   "--lam", "1000", "--out", str(tmp_path / "blowup"))
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical abort: residual at iteration 90 failed: " in err
 
 
 def test_verify_equivalence_exit_codes():

@@ -293,3 +293,24 @@ def test_divergence_raises_engine_error_naming_iteration_and_block(preset):
     for _ in range(k + 1):
         blocks, _, _ = draw(b.law, rng)
     assert j in blocks
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_overflowing_residual_raises_engine_error_naming_the_trace_row():
+    # at iteration 90 the iterate is finite but the operator values are not;
+    # observe used to raise a bare ValueError("block 0 contains NaN or Inf")
+    b = bundle_for("saga", seed=0)
+    fam = b.family
+    with pytest.raises(EngineError, match=r"^residual at iteration 90 failed: "):
+        run(BlockVector.zeros(fam.layout), fam, b.law, b.graph, b.schedule,
+            StepSizes.constant(1e3), max_iters=90, rng=substream(0, "sampling"))
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iters": -3}, {"max_iters": 10, "trace_stride": 0},
+                                    {"max_iters": 10, "trace_stride": -5}])
+def test_run_rejects_a_negative_budget_and_a_stride_below_one(kwargs):
+    fam = identity_family()
+    with pytest.raises(ValueError, match="max_iters|trace_stride"):
+        run(BlockVector(fam.layout, (np.ones(1),)), fam, trivial_law(), TriggerGraph.self_loops(1),
+            DelaySchedule.zero(1, 1), StepSizes.constant(0.5), **kwargs)

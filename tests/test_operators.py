@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,6 @@ from smartsolve.operators import (
     ZeroFunction,
     aggregate,
     gradient_op,
-    prox_op,
-    resolvent_op,
     subgradient_projector,
     verify_coherence,
     verify_quasi_monotone,
@@ -79,14 +79,13 @@ def test_gradient_op_rejects_bad_lipschitz():
 
 
 def test_prox_zero_is_identity():
-    p = prox_op(ZeroFunction(), 1.0)
     v = np.array([3.0, -1.0])
-    np.testing.assert_array_equal(p(v), v)
+    np.testing.assert_array_equal(ZeroFunction().prox(v, 1.0), v)
 
 
 def test_prox_l1_soft_threshold():
-    p = prox_op(L1Norm(1.0), 1.0)
-    np.testing.assert_array_equal(p(np.array([2.0, -0.5])), np.array([1.0, 0.0]))
+    got = L1Norm(1.0).prox(np.array([2.0, -0.5]), 1.0)
+    np.testing.assert_array_equal(got, np.array([1.0, 0.0]))
 
 
 def _prox_by_ternary_search(scalar_g, v, gamma, span=50.0, iters=200):
@@ -139,23 +138,16 @@ def test_quadratic_prox_closed_form():
     np.testing.assert_allclose(g.prox(v, 1.0), expect)
 
 
-def test_prox_requires_capability():
-    class NoProx:
-        pass
-
-    with pytest.raises(CapabilityError):
-        prox_op(NoProx(), 1.0)
-
-
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: prox_op(L1Norm(0.5), 1.3),
-        lambda: prox_op(SquaredL2(center=np.zeros(3), curvature=1.5), 0.7),
+        lambda: partial(L1Norm(0.5).prox, gamma=1.3),
+        lambda: partial(SquaredL2(center=np.zeros(3), curvature=1.5).prox, gamma=0.7),
         # the conjugate of an l1 norm: its prox is the box projection
-        lambda: prox_op(MoreauConjugate(L1Norm(0.8)), 1.1),
+        lambda: partial(MoreauConjugate(L1Norm(0.8)).prox, gamma=1.1),
         lambda: HalfspaceIndicator(np.array([1.0, 2.0, -1.0]), 0.5).project,
-        lambda: resolvent_op(AffineMonotoneMap(np.array([[1.0, -2.0, 0], [2.0, 1.0, 0], [0, 0, 0.5]])), 0.8),
+        lambda: partial(AffineMonotoneMap(
+            np.array([[1.0, -2.0, 0], [2.0, 1.0, 0], [0, 0, 0.5]])).resolvent, gamma=0.8),
     ],
 )
 def test_firm_nonexpansiveness(factory):
@@ -219,17 +211,16 @@ def test_subgradient_projector_halfspace_equals_projection():
 
 
 def test_resolvent_zero_map_is_identity():
-    J = resolvent_op(AffineMonotoneMap(np.zeros((2, 2))), 1.0)
     v = np.array([1.0, -2.0])
-    np.testing.assert_allclose(J(v), v)
+    np.testing.assert_allclose(AffineMonotoneMap(np.zeros((2, 2))).resolvent(v, 1.0), v)
 
 
 def test_saddle_resolvent_is_blockwise_prox():
     g1, g2 = L1Norm(1.0), SquaredL2(center=np.ones(2), curvature=1.0)
-    J = resolvent_op(SaddleProxMap(g1, g2, dim_w=3), 0.7)
     v = np.array([2.0, -0.1, 0.5, 1.0, -3.0])
     expect = np.concatenate([g1.prox(v[:3], 0.7), g2.prox(v[3:], 0.7)])
-    np.testing.assert_allclose(J(v), expect, atol=1e-15)
+    got = SaddleProxMap(g1, g2, dim_w=3).resolvent(v, 0.7)
+    np.testing.assert_allclose(got, expect, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
