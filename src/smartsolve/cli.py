@@ -18,7 +18,7 @@ import numpy as np
 
 from .asyncexec import AsyncConfig, WorkerFailure, run_async
 from .blockspace import BlockVector
-from .diagnostics import fit_rate
+from .diagnostics import MIN_SEEDS, fit_rate
 from .engine import EngineError, run
 from .instances import PRESET_PROBLEM_KINDS, bundle_for
 from .problems import GENERATORS, generate, load_problem, save_problem
@@ -60,6 +60,10 @@ class RunConfig:
             raise ConfigError(f"--iters must be >= 0, got {self.iters}")
         if self.trace_stride < 1:
             raise ConfigError(f"--trace-stride must be >= 1, got {self.trace_stride}")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ConfigError(f"--lam must be finite and > 0, got {self.lam}")
+        if self.stop_resid is not None and not 0 <= self.stop_resid < np.inf:
+            raise ConfigError(f"--stop-resid must be finite and >= 0, got {self.stop_resid}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -197,11 +201,10 @@ def cmd_run(args) -> int:
             )
             log = result.log
             replay_gap = None
-    except (EngineError, WorkerFailure, FloatingPointError, ValueError) as exc:
+    except (EngineError, WorkerFailure, ValueError) as exc:
         # the bundle, the schedule and the budget were already validated: a
-        # diverged iterate or residual raises EngineError, a non-finite operator
-        # value in a step FloatingPointError or (from the BlockVector it builds)
-        # ValueError
+        # diverged iterate, dual value or residual raises EngineError, and a
+        # non-finite value from an operator that builds a BlockVector ValueError
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -268,10 +271,12 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; have {sorted(SUITES)}", file=sys.stderr)
         return EXIT_CONFIG
     kwargs = {"seed": args.seed}
-    if args.suite == "coherence" and args.trials:
-        kwargs["trials"] = args.trials
-    if args.suite == "rates" and args.seeds:
-        kwargs["seeds"] = args.seeds
+    for name, suite, least in (("trials", "coherence", 1), ("seeds", "rates", MIN_SEEDS)):
+        value = getattr(args, name)
+        if args.suite == suite and value is not None:
+            if value < least:
+                raise ConfigError(f"--{name} must be >= {least}, got {value}")
+            kwargs[name] = value
     ok, report = SUITES[args.suite](**kwargs)
     print(json.dumps({"suite": args.suite, "pass": ok, "report": report},
                      default=float))

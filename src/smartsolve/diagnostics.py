@@ -28,6 +28,8 @@ __all__ = [
     "EnvelopeReport",
 ]
 
+MIN_SEEDS = 30      # fewest seed traces envelope_test accepts by default
+
 
 def residual(family: OperatorFamily, x: BlockVector) -> float:
     """Norm of the aggregated operator value in the family metric."""
@@ -138,7 +140,7 @@ def envelope_test(
     slack: float = 0.05,
     burn_in: int = 0,
     window: int = 1,
-    min_seeds: int = 30,
+    min_seeds: int = MIN_SEEDS,
 ) -> EnvelopeReport:
     """Check the mean-over-seeds distance trace against a geometric envelope.
 

@@ -70,7 +70,7 @@ def _residual(family: OperatorFamily, x: BlockVector, k: int) -> float:
     not finite at a finite iterate raises :class:`EngineError` naming ``k``."""
     try:
         return residual(family, x)
-    except (ValueError, FloatingPointError) as exc:
+    except ValueError as exc:
         raise EngineError(f"residual at iteration {k} failed: {exc}") from exc
 
 
@@ -259,9 +259,9 @@ def _apply(family: OperatorFamily, law: SamplingLaw, k: int, cur, blocks, i_k: i
     ``evals`` holds the evaluations :func:`_plan` lists, at the read point,
     and ``y_ik``/``ysum`` the (D,) dual reads, block ``j`` at ``slices[j]``.
     The engine and the threaded executor both run this, so a threaded run
-    replays exactly.  A drawn block that comes out NaN or Inf raises
-    :class:`EngineError`: this is where the iterate's finiteness is kept,
-    since the delayed reads are not re-checked.
+    replays exactly.  Finiteness is kept here, as reads are not re-checked: a
+    drawn block (whose check covers the values it uses) or a dual value written
+    for another operator that comes out NaN or Inf raises :class:`EngineError`.
     """
     n, m = family.n, family.m
     new_row = list(cur)
@@ -274,8 +274,13 @@ def _apply(family: OperatorFamily, law: SamplingLaw, k: int, cur, blocks, i_k: i
         sl = slices[j]
         new = cur[j] - lam_over_qm * (a * evals[i_k, j] - a * y_ik[sl] + ysum[sl] / n)
         if not np.isfinite(new).all():
-            raise EngineError(f"iterate diverged at iteration {k}: block {j} is NaN or Inf")
+            raise EngineError(
+                f"iterate diverged at iteration {k}: block {j} is NaN or Inf (operator {i_k})")
         new_row[j] = new
+    for i, j in write_at:
+        if i != i_k and not np.isfinite(evals[i, j]).all():
+            raise EngineError(
+                f"dual value diverged at iteration {k}: operator {i}, block {j} is NaN or Inf")
     return new_row, [(i, j, evals[i, j]) for i, j in write_at]
 
 

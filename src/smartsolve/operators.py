@@ -71,10 +71,10 @@ class DegeneracyError(ValueError):
 class BlockOperator:
     """A map from the block space to itself with per-block evaluation.
 
-    ``full`` evaluates the whole image; ``block`` evaluates one output
-    block, which is what the engine touches on a sparse iteration.
-    ``zero_blocks`` marks output blocks that are identically zero, letting
-    callers (and sampling laws) skip them entirely.
+    ``full`` evaluates the whole image as a BlockVector; ``block`` evaluates
+    one output block as an unchecked array, which is what the engine touches
+    on a sparse iteration (and checks as it writes).  ``zero_blocks`` marks
+    output blocks that are identically zero, letting callers skip them.
     """
 
     def __init__(self, layout: BlockLayout, full=None, block=None, zero_blocks=()):
@@ -88,8 +88,13 @@ class BlockOperator:
     def __call__(self, x: BlockVector) -> BlockVector:
         if self._full is not None:
             return self._full(x)
-        blocks = [self.block(x, j) for j in range(self.layout.m)]
-        return BlockVector(self.layout, tuple(blocks))
+        return BlockVector(self.layout, self._values(x))
+
+    def _values(self, x: BlockVector) -> tuple:
+        if self._full is not None:
+            return self._full(x).blocks
+        return tuple(np.zeros(d) if j in self.zero_blocks else self._block(x, j)
+                     for j, d in enumerate(self.layout.dims))
 
     def block(self, x: BlockVector, j: int) -> np.ndarray:
         if j in self.zero_blocks:
@@ -165,14 +170,14 @@ class OperatorFamily:
 
 
 def aggregate(family: OperatorFamily, x: BlockVector) -> BlockVector:
-    """The averaged map ``(1/n) sum_i S_i`` evaluated at ``x``."""
+    """The averaged map ``(1/n) sum_i S_i`` evaluated at ``x``, checked once as a sum."""
     if x.layout.dims != family.layout.dims:
         raise DimensionError("vector layout does not match family layout")
     acc = [np.zeros(d) for d in family.layout.dims]
     for op in family.ops:
-        val = op(x)
+        val = op._values(x)
         for j in range(family.m):
-            acc[j] += val.blocks[j]
+            acc[j] += val[j]
     scale = 1.0 / family.n
     return BlockVector(family.layout, tuple(scale * a for a in acc))
 
@@ -274,21 +279,24 @@ class LogisticTerm:
 def gradient_op(f, lipschitz: float, layout: BlockLayout | None = None) -> BlockOperator:
     """Wrap a smooth handle's gradient as a single-block operator.
 
-    ``lipschitz``, the gradient's Lipschitz constant, must be positive.
+    ``lipschitz``, the gradient's Lipschitz constant, must be positive.  A
+    gradient of the wrong shape raises DimensionError; finiteness is not checked.
     """
     if lipschitz <= 0:
         raise ValueError("Lipschitz constant must be positive")
     if layout is None:
         dim = np.asarray(f.grad(np.zeros(_probe_dim(f)))).size
         layout = BlockLayout((dim,))
+    if layout.m != 1:
+        raise DimensionError(f"gradient_op needs a one-block layout, got {layout.dims}")
 
-    def full(x: BlockVector) -> BlockVector:
+    def block(x: BlockVector, j: int) -> np.ndarray:
         g = np.asarray(f.grad(x.blocks[0]), dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("gradient evaluation produced NaN/Inf")
-        return BlockVector(layout, (g,))
+        if g.shape != layout.dims:
+            raise DimensionError(f"gradient has shape {g.shape}, expected {layout.dims}")
+        return g
 
-    return BlockOperator(layout, full=full)
+    return BlockOperator(layout, block=block)
 
 
 def _probe_dim(f):
@@ -487,6 +495,8 @@ class VerificationReport:
 
 def _random_points(family: OperatorFamily, trials: int, rng: np.random.Generator):
     """Gaussian clouds around the known root at a few spread-out radii."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     x0 = family.known_root
     scales = (0.1, 1.0, 10.0)
     for t in range(trials):
@@ -520,11 +530,11 @@ def verify_coherence(
         lhs = 0.0
         agg = [np.zeros(d) for d in family.layout.dims]
         for i, op in enumerate(family.ops):
-            val = op(x)
+            val = op._values(x)
             for j in range(family.m):
-                agg[j] += val.blocks[j]
+                agg[j] += val[j]
                 if family.beta[i, j] != 0.0:
-                    diff = val.blocks[j] - root_vals[i].blocks[j]
+                    diff = val[j] - root_vals[i].blocks[j]
                     lhs += family.beta[i, j] * float(diff @ diff)
         s_of_x = BlockVector(family.layout, tuple(a / family.n for a in agg))
         rhs = inner(family.metric, s_of_x, x - x_star)

@@ -347,10 +347,10 @@ def build_projection(
     layout = BlockLayout((dim,))
     ops = []
     for c in sets:
-        def full(x, _c=c):
+        def block(x, j, _c=c):
             z = x.blocks[0]
-            return BlockVector(layout, (z - _c.project(z),))
-        ops.append(BlockOperator(layout, full=full))
+            return z - _c.project(z)
+        ops.append(BlockOperator(layout, block=block))
     for fv, fg in functions:
         ops.append(subgradient_projector(fv, fg, layout))
     N = len(ops)
@@ -400,10 +400,9 @@ def build_kaczmarz(A, b, lam: float = 0.5, x0_hint=None):
     layout = BlockLayout((dim,))
     ops = []
     for i in range(N):
-        def full(x, _a=An[i], _b=bn[i]):
-            z = x.blocks[0]
-            return BlockVector(layout, ((float(_a @ z) - _b) * _a,))
-        ops.append(BlockOperator(layout, full=full))
+        def block(x, j, _a=An[i], _b=bn[i]):
+            return (float(_a @ x.blocks[0]) - _b) * _a
+        ops.append(BlockOperator(layout, block=block))
     beta = np.full((N, 1), 1.0 / N)
     star = np.zeros((N, 1), dtype=bool)
     sigma_min = np.linalg.svd(An, compute_uv=False)[-1]

@@ -51,15 +51,15 @@ def build_prox_saga(
 
     ops = []
     for i in range(N):
-        def full(x, _i=i):
-            return BlockVector(layout, (grad_through_prox(x, _i),))
-        ops.append(BlockOperator(layout, full=full))
+        def block(x, j, _i=i):
+            return grad_through_prox(x, _i)
+        ops.append(BlockOperator(layout, block=block))
 
-    def prox_residual(x: BlockVector) -> BlockVector:
+    def prox_residual(x: BlockVector, j: int) -> np.ndarray:
         z = x.blocks[0]
-        return BlockVector(layout, (z - g.prox(z, gamma),))
+        return z - g.prox(z, gamma)
 
-    ops.append(BlockOperator(layout, full=prox_residual))
+    ops.append(BlockOperator(layout, block=prox_residual))
     n = N + 1
 
     beta = np.zeros((n, 1))

@@ -85,16 +85,16 @@ def build_lin_saga(
 
     ops = []
     for i in range(N):
-        def full(x, _i=i):
-            return BlockVector(layout, (s_grad(x, _i),))
-        ops.append(BlockOperator(layout, full=full))
+        def block(x, j, _i=i):
+            return s_grad(x, _i)
+        ops.append(BlockOperator(layout, block=block))
 
-    def s_prox(x: BlockVector) -> BlockVector:
+    def s_prox(x: BlockVector, j: int) -> np.ndarray:
         z = x.blocks[0]
         w = g.prox(z, gamma)
-        return BlockVector(layout, (w - 2.0 * (P_V @ w) + P_V @ z,))
+        return w - 2.0 * (P_V @ w) + P_V @ z
 
-    ops.append(BlockOperator(layout, full=s_prox))
+    ops.append(BlockOperator(layout, block=s_prox))
 
     beta = np.zeros((n, 1))
     beta[:N, 0] = N / (2.0 * gamma * L_hat * n)
@@ -679,16 +679,15 @@ def build_mono(
 
     ops = []
     for i in range(N):
-        def full(xv: BlockVector, _i=i):
-            z = resolve(xv.blocks[0])
-            return BlockVector(layout, ((gamma / N) * np.asarray(B_list[_i](z)),))
-        ops.append(BlockOperator(layout, full=full))
+        def block(xv: BlockVector, j, _i=i):
+            return (gamma / N) * np.asarray(B_list[_i](resolve(xv.blocks[0])))
+        ops.append(BlockOperator(layout, block=block))
 
-    def last(xv: BlockVector) -> BlockVector:
+    def last(xv: BlockVector, j: int) -> np.ndarray:
         z = xv.blocks[0]
-        return BlockVector(layout, (z - resolve(z),))
+        return z - resolve(z)
 
-    ops.append(BlockOperator(layout, full=last))
+    ops.append(BlockOperator(layout, block=last))
 
     beta = np.zeros((n, 1))
     beta[:N, 0] = mu * N * N / (L * L * gamma * gamma * n)

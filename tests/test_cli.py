@@ -125,6 +125,14 @@ def test_config_errors_exit_two(tmp_path):
         for bad in (("--trace-stride", "0"), ("--trace-stride", "-5"), ("--iters", "-3")):
             assert run_cli("run", "--preset", "kaczmarz", "--mode", mode, *bad,
                            "--out", out) == EXIT_CONFIG
+    # a step that is not finite and positive, or a residual target that is
+    # not finite and nonnegative, in every mode
+    for mode in ("sync", "async"):
+        for bad in (("--lam", "nan"), ("--lam", "inf"), ("--lam", "-1"),
+                    ("--stop-resid", "nan"), ("--stop-resid", "inf"),
+                    ("--stop-resid", "-1")):
+            assert run_cli("run", "--preset", "kaczmarz", "--mode", mode, *bad,
+                           "--out", out) == EXIT_CONFIG
     # a parameter the generator does not take, or a value it rejects
     for param in ("foo=1", "rows=-3"):
         assert run_cli("generate", "--kind", "ridge", "--out", str(tmp_path / "r.json"),
@@ -165,6 +173,21 @@ def test_overflowing_residual_exits_four_naming_the_iteration(tmp_path, capsys):
 def test_verify_equivalence_exit_codes():
     assert run_cli("verify", "--suite", "equivalence", "--seed", "0") == EXIT_OK
     assert run_cli("verify", "--suite", "bogus") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "coherence", "--trials", "0"),
+    ("--suite", "coherence", "--trials", "-5"),
+    ("--suite", "rates", "--seeds", "-3"),
+    ("--suite", "rates", "--seeds", "29"),
+])
+def test_verify_rejects_too_few_trials_or_seeds(argv, capsys):
+    # --trials -5 used to pass with max_violation -inf, --trials 0 ran the
+    # default budget, and --seeds -3 ended in a ValueError traceback
+    assert run_cli("verify", *argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"config error: --(trials|seeds) must be >= (1|30), got ", captured.err)
 
 
 def test_verify_coherence_small_budget(capsys):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from smartsolve.asyncexec import AsyncConfig, WorkerFailure, run_async
 from smartsolve.blockspace import BlockLayout, BlockVector
 from smartsolve.engine import (
     DualTable,
@@ -15,7 +16,7 @@ from smartsolve.engine import (
 )
 from smartsolve.instances import bundle_for
 from smartsolve.operators import BlockOperator, OperatorFamily, Quadratic
-from smartsolve.presets import build_kaczmarz, build_saga
+from smartsolve.presets import build_kaczmarz, build_saga, build_svrg
 from smartsolve.problems import linear_system, ridge, ridge_terms
 from smartsolve.sampling import SamplingLaw, TriggerGraph, draw, substream
 from smartsolve.schedule import DelaySchedule
@@ -305,6 +306,77 @@ def test_overflowing_residual_raises_engine_error_naming_the_trace_row():
     with pytest.raises(EngineError, match=r"^residual at iteration 90 failed: "):
         run(BlockVector.zeros(fam.layout), fam, b.law, b.graph, b.schedule,
             StepSizes.constant(1e3), max_iters=90, rng=substream(0, "sampling"))
+
+
+class TurnsInfinite:
+    """A smooth term whose gradient is +inf from its ``after + 1``-th call on."""
+
+    def __init__(self, f, after):
+        self.f, self.after, self.calls = f, after, 0
+        self.lipschitz = f.lipschitz
+
+    def grad(self, z):
+        self.calls += 1
+        g = self.f.grad(z)
+        return g if self.calls <= self.after else np.full_like(g, np.inf)
+
+
+def svrg_sched_failing_at(op_index, after, **ridge_params):
+    fs, L = ridge_terms(ridge(seed=0, **ridge_params))
+    fs[op_index] = TurnsInfinite(fs[op_index], after)
+    return build_svrg(fs, tau=4, mode="scheduled", lipschitz=L)
+
+
+def steps_until_error(b, iters=2000):
+    fam = b.family
+    state = init_state(fam, BlockVector.zeros(fam.layout), tau_p=b.schedule.tau_p,
+                       tau_d=b.schedule.tau_d, rng=substream(0, "sampling"))
+    with pytest.raises(EngineError) as info:
+        for _ in range(iters):
+            step(state, b.law, b.graph, b.schedule, b.steps)
+    return state, str(info.value)
+
+
+def test_non_finite_table_write_raises_engine_error_naming_operator_iteration_block():
+    # operator 3 is evaluated only for the dual table at iteration 129; this
+    # used to escape step as a bare FloatingPointError naming no iteration
+    state, msg = steps_until_error(svrg_sched_failing_at(3, after=30))
+    assert msg == "dual value diverged at iteration 129: operator 3, block 0 is NaN or Inf"
+    assert state.k == 129
+    assert all(np.isfinite(blk).all() for blk in state.x.blocks)
+    # the threaded executor runs the same check; with no skipped commits it
+    # meets the value at commit 29
+    b = svrg_sched_failing_at(3, after=30)
+    fam = b.family
+    with pytest.raises(WorkerFailure, match=r"EngineError\('dual value diverged at "
+                       r"iteration 29: operator 3, block 0 is NaN or Inf'\)"):
+        run_async(AsyncConfig(workers=1, tau_p=0, tau_d=0), fam, b.law, b.graph, b.steps,
+                  BlockVector.zeros(fam.layout), max_iters=2000, seed=0)
+
+
+def test_non_finite_value_of_the_drawn_operator_names_it():
+    # here operator 3 is drawn at iteration 112, so its value reaches the iterate
+    state, msg = steps_until_error(
+        svrg_sched_failing_at(3, after=30, rows=10, dim=6, reg=0.3))
+    assert msg == "iterate diverged at iteration 112: block 0 is NaN or Inf (operator 3)"
+    assert state.k == 112
+
+
+@pytest.mark.parametrize("preset", ["saga", "svrg-sched"])
+def test_a_step_builds_no_checked_block_vector(preset, monkeypatch):
+    # operator values reach the engine as arrays; _apply checks what it writes
+    b = bundle_for(preset, seed=0)
+    fam = b.family
+    state = init_state(fam, BlockVector.zeros(fam.layout), tau_p=b.schedule.tau_p,
+                       tau_d=b.schedule.tau_d, rng=substream(0, "sampling"))
+    built = []
+    checked = BlockVector.__post_init__
+    monkeypatch.setattr(BlockVector, "__post_init__",
+                        lambda self: (built.append(1), checked(self)))
+    for _ in range(5):
+        step(state, b.law, b.graph, b.schedule, b.steps)
+    assert built == []
+    assert state.dual_table.commits > 0
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iters": -3}, {"max_iters": 10, "trace_stride": 0},

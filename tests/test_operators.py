@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from smartsolve.blockspace import BlockLayout, BlockVector
+from smartsolve.blockspace import BlockLayout, BlockVector, DimensionError
 from smartsolve.operators import (
     AffineMonotoneMap,
     BlockOperator,
@@ -72,6 +72,24 @@ def test_least_squares_gradient_matches_finite_differences(seed):
 def test_gradient_op_rejects_bad_lipschitz():
     with pytest.raises(ValueError):
         gradient_op(Quadratic(np.zeros(2)), 0.0)
+
+
+def test_gradient_op_rejects_a_wrong_shaped_gradient():
+    # gradient_op builds no BlockVector, so it checks the shape itself
+    class Padded:
+        def grad(self, z):
+            return np.append(z, 0.0)
+
+    layout = BlockLayout((2,))
+    op = gradient_op(Padded(), 1.0, layout)
+    x = BlockVector(layout, (np.ones(2),))
+    with pytest.raises(DimensionError, match=r"gradient has shape \(3,\), expected \(2,\)"):
+        op.block(x, 0)
+    with pytest.raises(DimensionError):
+        op(x)
+    # a layout of more than one block is refused when the operator is built
+    with pytest.raises(DimensionError, match="one-block layout"):
+        gradient_op(Quadratic(np.zeros(2)), 1.0, BlockLayout((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +336,17 @@ def test_quasi_monotone_saga_strong_convexity():
                         x_star=prob.oracle["x_star"])
     assert verify_quasi_monotone(bundle.family, trials=1000,
                                  rng=substream(3, "verify")).ok
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_verify_rejects_fewer_than_one_trial(trials):
+    # with no trials both checks used to pass with max_violation -inf
+    prob = linear_system(rows=12, dim=12, seed=3)
+    bundle = build_kaczmarz(prob.data["A"], prob.data["b"])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_coherence(bundle.family, trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_quasi_monotone(bundle.family, trials=trials, projector=bundle.oracle.project)
 
 
 def test_verify_requires_root():
