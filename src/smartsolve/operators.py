@@ -69,39 +69,34 @@ class DegeneracyError(ValueError):
 
 
 class BlockOperator:
-    """A map from the block space to itself with per-block evaluation.
+    """A map from the block space to itself, given by its per-block evaluator.
 
-    ``full`` evaluates the whole image as a BlockVector; ``block`` evaluates
-    one output block as an unchecked array, which is what the engine touches
-    on a sparse iteration (and checks as it writes).  ``zero_blocks`` marks
-    output blocks that are identically zero, letting callers skip them.
+    ``block(x, j)`` evaluates output block ``j`` as an unchecked array, which
+    is what the engine touches on a sparse iteration (and checks as it
+    writes).  ``zero_blocks`` marks output blocks that are identically zero;
+    they are never evaluated.  ``op(x)`` assembles every block into a
+    checked BlockVector.
     """
 
-    def __init__(self, layout: BlockLayout, full=None, block=None, zero_blocks=()):
-        if full is None and block is None:
-            raise ValueError("need at least one of full/block evaluators")
+    def __init__(self, layout: BlockLayout, block, zero_blocks=()):
         self.layout = layout
-        self._full = full
         self._block = block
         self.zero_blocks = frozenset(int(j) for j in zero_blocks)
+        bad = sorted(j for j in self.zero_blocks if not 0 <= j < layout.m)
+        if bad:
+            raise DimensionError(f"zero_blocks {bad} outside [0, {layout.m})")
 
     def __call__(self, x: BlockVector) -> BlockVector:
-        if self._full is not None:
-            return self._full(x)
         return BlockVector(self.layout, self._values(x))
 
     def _values(self, x: BlockVector) -> tuple:
-        if self._full is not None:
-            return self._full(x).blocks
         return tuple(np.zeros(d) if j in self.zero_blocks else self._block(x, j)
                      for j, d in enumerate(self.layout.dims))
 
     def block(self, x: BlockVector, j: int) -> np.ndarray:
         if j in self.zero_blocks:
             return np.zeros(self.layout.dims[j])
-        if self._block is not None:
-            return self._block(x, j)
-        return self._full(x).blocks[j]
+        return self._block(x, j)
 
 
 @dataclass
@@ -426,18 +421,18 @@ def subgradient_projector(f_value, f_subgrad, layout: BlockLayout) -> BlockOpera
     G(x) = x - f(x)/|g(x)|^2 * g(x)  when f(x) > 0, else x.
     """
 
-    def full(x: BlockVector) -> BlockVector:
+    def block(x: BlockVector, j: int) -> np.ndarray:
         z = x.blocks[0]
         fx = float(f_value(z))
         if fx <= 0.0:
-            return BlockVector.zeros(layout)
+            return np.zeros(layout.dims[0])
         g = np.asarray(f_subgrad(z), dtype=np.float64)
         gg = float(g @ g)
         if gg == 0.0:
             raise DegeneracyError("zero subgradient at a strictly infeasible point")
-        return BlockVector(layout, ((fx / gg) * g,))
+        return (fx / gg) * g
 
-    return BlockOperator(layout, full=full)
+    return BlockOperator(layout, block=block)
 
 
 # ---------------------------------------------------------------------------

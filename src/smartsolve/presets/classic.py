@@ -150,6 +150,39 @@ def build_svrg(
     )
 
 
+def _row_sum(N: int, d: int, row):
+    """Sum over ``l`` of ``row(l, blocks[l])``, recomputing only moved rows.
+
+    Row ``l + 1`` of the table holds ``row(l, sources[l])``; a row is
+    recomputed when its block array is not ``sources[l]``, matched by
+    identity (blocks are never written in place).  Row 0 stays zero, so the
+    prefix sum of the rows starts at +0.0 and runs in row order, giving the
+    bits of a plain running sum (``np.add.reduce`` would sum one-dimensional
+    rows pairwise).  The ``(sources, table, sum)`` triple is replaced whole,
+    never changed, so concurrent evaluations each use a consistent triple,
+    and a call with the very tuple of the last one returns its sum at once,
+    which keeps a whole-image evaluation at O(N).
+    """
+    cached = ((None,) * N, np.zeros((N + 1, d)), None)
+
+    def row_sum(blocks: tuple) -> np.ndarray:
+        nonlocal cached
+        sources, table, total = cached
+        if blocks is sources:
+            return total
+        # the rows whose block object is not the one they were made from
+        moved = list(compress(range(N), map(is_not, blocks, sources)))
+        if moved:
+            table = table.copy()
+            for l in moved:
+                table[l + 1] = row(l, blocks[l])
+            total = np.add.accumulate(table, axis=0)[-1]
+        cached = (blocks, table, total)
+        return total
+
+    return row_sum
+
+
 def build_finito(
     fs,
     gamma: float | None = None,
@@ -165,15 +198,9 @@ def build_finito(
     gradient-corrected copies.  All operator values vanish at roots, so
     the dual table is empty.
 
-    As in the published method, the corrected copies live in a table that
-    an evaluation updates only where a copy moved: row ``l + 1`` holds
-    ``x_l - gamma grad f_l(x_l)`` for the block array ``sources[l]``, which
-    it is matched to by identity (blocks are never written in place).
-    Row 0 stays zero, so the prefix sum of the rows starts at +0.0 and runs
-    in row order, giving the bits of a plain running sum (``np.add.reduce``
-    would sum one-dimensional copies pairwise).  The ``(sources, table)``
-    pair is replaced whole, never changed, so concurrent evaluations each
-    use a consistent pair.
+    As in the published method, the corrected copies
+    ``x_l - gamma grad f_l(x_l)`` live in a table that an evaluation
+    updates only where a copy moved (see ``_row_sum``).
     """
     from . import PresetBundle
 
@@ -187,29 +214,12 @@ def build_finito(
     d0 = np.asarray(fs[0].grad(_probe_zero(fs[0]))).size
     layout = BlockLayout((d0,) * N)
 
-    cached = ((None,) * N, np.zeros((N + 1, d0)))     # (sources, table)
-
-    def mean_corrected(x: BlockVector) -> np.ndarray:
-        nonlocal cached
-        sources, table = cached
-        # the copies whose block object is not the one their row was made from
-        moved = list(compress(range(N), map(is_not, x.blocks, sources)))
-        if moved:
-            table = table.copy()
-            for l in moved:
-                xl = x.blocks[l]
-                table[l + 1] = xl - gamma * fs[l].grad(xl)
-            cached = (x.blocks, table)
-        return np.add.accumulate(table, axis=0)[-1] / N
-
-    def full(x: BlockVector) -> BlockVector:
-        mc = mean_corrected(x)
-        return BlockVector(layout, tuple(b - mc for b in x.blocks))
+    corrected_sum = _row_sum(N, d0, lambda l, xl: xl - gamma * fs[l].grad(xl))
 
     def block(x: BlockVector, j: int) -> np.ndarray:
-        return x.blocks[j] - mean_corrected(x)
+        return x.blocks[j] - corrected_sum(x.blocks) / N
 
-    op = BlockOperator(layout, full=full, block=block)
+    op = BlockOperator(layout, block=block)
     beta = np.full((1, N), gamma * Lmax / 4.0)
     star = np.zeros((1, N), dtype=bool)
     mu = None
@@ -273,22 +283,12 @@ def build_sdca(
             raise ValueError("sdca needs terms exposing conjugate_prox")
         return -conj(-v, gamma)
 
+    running_sum = _row_sum(N, d0, lambda l, xl: xl)
+
     def block(x: BlockVector, j: int) -> np.ndarray:
-        total = np.zeros(d0)
-        for b in x.blocks:
-            total += b
-        return x.blocks[j] - backward(j, x.blocks[j] - total)
+        return x.blocks[j] - backward(j, x.blocks[j] - running_sum(x.blocks))
 
-    def full(x: BlockVector) -> BlockVector:
-        total = np.zeros(d0)
-        for b in x.blocks:
-            total += b
-        return BlockVector(
-            layout,
-            tuple(b - backward(j, b - total) for j, b in enumerate(x.blocks)),
-        )
-
-    op = BlockOperator(layout, full=full, block=block)
+    op = BlockOperator(layout, block=block)
     beta = np.full((1, N), 0.75)
     star = np.zeros((1, N), dtype=bool)
     mu = mu0 * N / (mu0 * N + Lmax)

@@ -121,10 +121,10 @@ def build_coordinate_saga(
 ):
     """Partial-derivative variant: one block of one term per iteration.
 
-    ``fs`` expose ``grad_block(blocks, j)`` and ``grad_full(blocks)``;
-    ``lipschitz_blocks`` is the (N, m) matrix of coordinatewise gradient
-    Lipschitz constants, and ``sparsity`` bounds how many blocks each
-    term's gradient actually couples (1 for blockwise-separable terms).
+    ``fs`` expose ``grad_block(blocks, j)``; ``lipschitz_blocks`` is the
+    (N, m) matrix of coordinatewise gradient Lipschitz constants, and
+    ``sparsity`` bounds how many blocks each term's gradient actually
+    couples (1 for blockwise-separable terms).
     """
     from . import PresetBundle
 
@@ -136,13 +136,10 @@ def build_coordinate_saga(
 
     ops = []
     for f in fs:
-        def full(x, _f=f):
-            return BlockVector(layout, tuple(_f.grad_full(x.blocks)))
-
         def block(x, j, _f=f):
             return _f.grad_block(x.blocks, j)
 
-        ops.append(BlockOperator(layout, full=full, block=block))
+        ops.append(BlockOperator(layout, block=block))
 
     beta = 1.0 / (N * s * Lb)
     star = np.ones((N, m), dtype=bool)

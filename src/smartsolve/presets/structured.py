@@ -220,21 +220,20 @@ def build_super_saga(
 
     ops = []
     for i in range(N):
-        def full(xv: BlockVector, _i=i):
-            gval = grad_val(xv.blocks, _i)
+        def grad_block(xv: BlockVector, j, _i=i):
             # image lies in the consensus block: sqrt(M) * mean in row 0
-            return BlockVector(layout, (np.sqrt(M) * gval, np.zeros((M - 1) * d1)))
-        ops.append(BlockOperator(layout, full=full, zero_blocks=(1,)))
+            return np.sqrt(M) * grad_val(xv.blocks, _i)
+        ops.append(BlockOperator(layout, block=grad_block, zero_blocks=(1,)))
 
-    def prox_op_full(xv: BlockVector) -> BlockVector:
+    def prox_block(xv: BlockVector, j) -> np.ndarray:
         x, w = proxed_copies(xv.blocks)
         wbar = w.mean(axis=0)
         xbar = x.mean(axis=0)
         vals = w - 2.0 * wbar[None, :] + xbar[None, :]
         Y = Q @ vals
-        return BlockVector(layout, (Y[0].copy(), Y[1:].reshape(-1).copy()))
+        return Y[0] if j == 0 else Y[1:].reshape(-1)
 
-    ops.append(BlockOperator(layout, full=prox_op_full))
+    ops.append(BlockOperator(layout, block=prox_block))
 
     beta = np.zeros((n, 2))
     beta[:N, 0] = N * M / (2.0 * gamma * L * n)
@@ -551,19 +550,9 @@ def build_prox_smart_plus(
     ops = []
     for i in range(N):
         def grad_block(xv: BlockVector, j, _i=i):
-            if j != 0:
-                return np.zeros(dims[j])
             return (gamma1 / N) * fs[_i].grad(hat_x1(xv.blocks))
 
-        def grad_full(xv: BlockVector, _i=i):
-            out = [np.zeros(d) for d in dims]
-            out[0] = (gamma1 / N) * fs[_i].grad(hat_x1(xv.blocks))
-            return BlockVector(layout, tuple(out))
-
-        ops.append(
-            BlockOperator(layout, full=grad_full, block=grad_block,
-                          zero_blocks=range(1, M))
-        )
+        ops.append(BlockOperator(layout, block=grad_block, zero_blocks=range(1, M)))
 
     def last_block(xv: BlockVector, j):
         blocks = xv.blocks

@@ -348,9 +348,6 @@ class ChainBlockQuadratic:
             g = g + self.w * (blocks[j] - blocks[j + 1])
         return g
 
-    def grad_full(self, blocks):
-        return [self.grad_block(blocks, j) for j in range(len(blocks))]
-
     def value(self, blocks):
         v = sum(p.value(b) for p, b in zip(self.parts, blocks))
         for j in range(len(blocks) - 1):

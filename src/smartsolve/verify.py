@@ -11,7 +11,7 @@ import numpy as np
 
 from .asyncexec import AsyncConfig, run_async
 from .blockspace import BlockVector
-from .diagnostics import envelope_test
+from .diagnostics import MIN_SEEDS, envelope_test
 from .engine import StepSizes, run
 from .instances import bundle_for
 from .operators import verify_coherence, verify_quasi_monotone
@@ -101,6 +101,8 @@ def _mean_traces(bundle, lam, iters, seeds, stride):
 
 def rates_suite(seed: int = 0, seeds: int = 50, slack: float = 0.05) -> tuple[bool, dict]:
     """Mean-over-seeds distance envelopes at the published steps and rates."""
+    if seeds < MIN_SEEDS:
+        raise ValueError(f"need at least {MIN_SEEDS} seeds, got {seeds}")
     report = {}
     ok = True
 

@@ -114,13 +114,13 @@ def test_worker_failure_aborts_with_diagnostic():
 
     calls = {"n": 0}
 
-    def exploding(x):
+    def exploding(x, j):
         calls["n"] += 1
         if calls["n"] > 10:
             raise RuntimeError("synthetic operator failure")
-        return BlockVector(layout, (x.blocks[0] * 0.5,))
+        return x.blocks[0] * 0.5
 
-    op = BlockOperator(layout, full=exploding)
+    op = BlockOperator(layout, block=exploding)
     fam = OperatorFamily(layout, [op], np.ones((1, 1)), np.ones((1, 1), bool))
     from smartsolve.sampling import SamplingLaw, TriggerGraph
 

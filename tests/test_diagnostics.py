@@ -22,8 +22,7 @@ def test_residual_zero_family():
     from smartsolve.operators import BlockOperator, OperatorFamily
 
     layout = BlockLayout((3,))
-    zero = BlockOperator(layout, full=lambda x: BlockVector.zeros(layout),
-                         zero_blocks=(0,))
+    zero = BlockOperator(layout, block=lambda x, j: np.zeros(3), zero_blocks=(0,))
     fam = OperatorFamily(layout, [zero], np.ones((1, 1)), np.zeros((1, 1), bool))
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -128,3 +127,15 @@ def test_envelope_needs_enough_seeds():
     traces = np.ones((5, iters.size))
     with pytest.raises(ValueError):
         envelope_test(iters, traces, predicted_factor=0.9)
+
+
+def test_rates_suite_rejects_too_few_seeds_before_any_solve(monkeypatch):
+    from smartsolve import verify
+    from smartsolve.diagnostics import MIN_SEEDS
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("rates_suite solved before checking its seed count")
+
+    monkeypatch.setattr(verify, "run", no_solve)
+    with pytest.raises(ValueError, match=f"need at least {MIN_SEEDS} seeds, got 29"):
+        verify.rates_suite(seeds=MIN_SEEDS - 1)

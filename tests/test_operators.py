@@ -247,7 +247,7 @@ def test_saddle_resolvent_is_blockwise_prox():
 
 def test_aggregate_identity_operator():
     layout = BlockLayout((3,))
-    op = BlockOperator(layout, full=lambda x: x)
+    op = BlockOperator(layout, block=lambda x, j: x.blocks[j])
     fam = OperatorFamily(layout, [op], np.ones((1, 1)), np.ones((1, 1), bool))
     x = BlockVector(layout, (np.array([1.0, 2.0, 3.0]),))
     np.testing.assert_array_equal(aggregate(fam, x).blocks[0], x.blocks[0])
@@ -351,7 +351,7 @@ def test_verify_rejects_fewer_than_one_trial(trials):
 
 def test_verify_requires_root():
     layout = BlockLayout((2,))
-    op = BlockOperator(layout, full=lambda x: x)
+    op = BlockOperator(layout, block=lambda x, j: x.blocks[j])
     fam = OperatorFamily(layout, [op], np.ones((1, 1)), np.ones((1, 1), bool))
     with pytest.raises(CapabilityError):
         verify_coherence(fam)
@@ -361,14 +361,13 @@ def test_verify_requires_root():
 
 def test_family_rejects_false_root_claims():
     layout = BlockLayout((2,))
-    op = BlockOperator(layout, full=lambda x: x)
+    op = BlockOperator(layout, block=lambda x, j: x.blocks[j])
     not_root = BlockVector(layout, (np.ones(2),))
     with pytest.raises(ValueError):
         OperatorFamily(layout, [op], np.ones((1, 1)), np.ones((1, 1), bool),
                        known_root=not_root)
     # claiming a zero pattern that the operator violates at the root
-    shift = BlockOperator(layout, full=lambda x: BlockVector(
-        layout, (x.blocks[0] - np.array([1.0, 0.0]),)))
+    shift = BlockOperator(layout, block=lambda x, j: x.blocks[0] - np.array([1.0, 0.0]))
     root = BlockVector(layout, (np.array([1.0, 0.0]),))
     with pytest.raises(ValueError):
         OperatorFamily(
@@ -382,19 +381,28 @@ def test_block_operator_consistency_and_zero_blocks():
     rng = np.random.default_rng(9)
     W = rng.standard_normal((5, 5))
 
-    def full(x):
-        flat = W @ x.flat()
-        flat[2:] = 0.0
-        return BlockVector.from_flat(layout, flat)
+    evaluated = []
 
-    op = BlockOperator(layout, full=full, zero_blocks=(1,))
+    def block(x, j):
+        evaluated.append(j)
+        return W[:2] @ x.flat()
+
+    op = BlockOperator(layout, block=block, zero_blocks=(1,))
     for _ in range(20):
         x = BlockVector(layout, tuple(rng.standard_normal(d) for d in layout.dims))
         whole = op(x)
-        for j in range(2):
-            np.testing.assert_allclose(op.block(x, j), whole.blocks[j], atol=1e-14)
-    x = BlockVector(layout, tuple(rng.standard_normal(d) for d in layout.dims))
-    np.testing.assert_array_equal(op.block(x, 1), np.zeros(3))
+        assert whole.blocks[0].tobytes() == op.block(x, 0).tobytes()
+        assert whole.blocks[1].tobytes() == np.zeros(3).tobytes()
+        np.testing.assert_array_equal(op.block(x, 1), np.zeros(3))
+    # the zero block is never evaluated
+    assert set(evaluated) == {0}
+
+
+@pytest.mark.parametrize("zero_blocks", [(5,), (-1,), (0, 2)])
+def test_block_operator_rejects_zero_blocks_outside_the_layout(zero_blocks):
+    with pytest.raises(DimensionError, match="zero_blocks"):
+        BlockOperator(BlockLayout((2, 3)), block=lambda x, j: x.blocks[j],
+                      zero_blocks=zero_blocks)
 
 
 def test_coordinatewise_lipschitz_relation():
@@ -407,7 +415,8 @@ def test_coordinatewise_lipschitz_relation():
         for _ in range(100):
             x = [rng.standard_normal(d) for d in layout.dims]
             y = [rng.standard_normal(d) for d in layout.dims]
-            gx, gy = f.grad_full(x), f.grad_full(y)
+            gx = [f.grad_block(x, j) for j in range(layout.m)]
+            gy = [f.grad_block(y, j) for j in range(layout.m)]
             ip = sum(float((a - b) @ (c - d)) for a, b, c, d in zip(gx, gy, x, y))
             for j in range(layout.m):
                 diff = gx[j] - gy[j]

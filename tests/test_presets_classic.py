@@ -16,6 +16,7 @@ from smartsolve.presets import (
 )
 from smartsolve.problems import halfspace_feasibility, linear_system, ridge, ridge_terms
 from smartsolve.sampling import draw, substream, trigger_prob
+from smartsolve.schedule import DelaySchedule
 
 
 @pytest.fixture(scope="module")
@@ -198,15 +199,36 @@ def test_finito_identical_quadratics_one_sweep():
         np.testing.assert_allclose(state.x.blocks[j], c, atol=1e-12)
 
 
-def _mean_corrected_by_running_sum(fs, gamma, x):
-    acc = np.zeros(x.blocks[0].shape)
-    for xl, f in zip(x.blocks, fs):
-        acc += xl - gamma * f.grad(xl)
-    return acc / len(fs)
+def _running_sum(rows):
+    acc = np.zeros(rows[0].shape)
+    for r in rows:
+        acc += r
+    return acc
 
 
-def test_finito_operator_matches_a_full_recompute_bit_for_bit():
-    # the operator keeps a table of corrected copies keyed on block identity;
+def _table_operator(method, fs, gamma):
+    """The operator of finito or sdca, which keeps a table of rows keyed on
+    block identity, and a block evaluation that recomputes its sum as a
+    running sum over all copies."""
+    N = len(fs)
+    if method == "finito":
+        def reference(x, j):
+            rows = [xl - gamma * f.grad(xl) for xl, f in zip(x.blocks, fs)]
+            return x.blocks[j] - _running_sum(rows) / N
+        return build_finito(fs, gamma=gamma).family.ops[0], reference
+
+    mu0 = gamma / N
+
+    def backward(j, v):
+        return -fs[j].conjugate_prox(-v, mu0 * N)
+
+    def reference(x, j):
+        return x.blocks[j] - backward(j, x.blocks[j] - _running_sum(x.blocks))
+    return build_sdca(fs, mu0=mu0).family.ops[0], reference
+
+
+@pytest.mark.parametrize("method", ["finito", "sdca"])
+def test_table_operator_matches_a_full_recompute_bit_for_bit(method):
     # every evaluation must equal the running sum over all copies, also when
     # the vectors share some blocks and not others, and with one-dimensional
     # copies, where numpy would sum a single column pairwise
@@ -214,30 +236,29 @@ def test_finito_operator_matches_a_full_recompute_bit_for_bit():
     N, gamma = 20, 0.4
     fs = [Quadratic(rng.standard_normal(1), curvature=float(c))
           for c in rng.uniform(0.5, 2.0, N)]
-    b = build_finito(fs, gamma=gamma)
-    op = b.family.ops[0]
+    op, reference = _table_operator(method, fs, gamma)
     blocks = [rng.standard_normal(1) for _ in range(N)]
     blocks[3] = np.array([-0.0])
     for t in range(60):
         for l in rng.choice(N, size=t % 4, replace=False):
             blocks[l] = rng.standard_normal(1)
-        x = BlockVector(b.family.layout, tuple(blocks))
-        mc = _mean_corrected_by_running_sum(fs, gamma, x)
+        x = BlockVector(op.layout, tuple(blocks))
         j = t % N
-        assert op.block(x, j).tobytes() == (x.blocks[j] - mc).tobytes()
-        assert op(x).flat().tobytes() == np.concatenate([xl - mc for xl in x.blocks]).tobytes()
+        assert op.block(x, j).tobytes() == reference(x, j).tobytes()
+        whole = np.concatenate([reference(x, l) for l in range(N)])
+        assert op(x).flat().tobytes() == whole.tobytes()
 
 
-def test_finito_operator_table_under_concurrent_evaluation():
+@pytest.mark.parametrize("method", ["finito", "sdca"])
+def test_table_operator_under_concurrent_evaluation(method):
     # more threads than cores, switching every 10 us, share the operator's
     # table; every evaluation must still equal the running sum over its own
-    # copies, which a torn (sources, table) pair would break
+    # copies, which a torn (sources, table, sum) triple would break
     N, d, gamma = 16, 3, 0.4
     rng = np.random.default_rng(13)
     fs = [Quadratic(rng.standard_normal(d), curvature=float(c))
           for c in rng.uniform(0.5, 2.0, N)]
-    b = build_finito(fs, gamma=gamma)
-    op = b.family.ops[0]
+    op, reference = _table_operator(method, fs, gamma)
     base = [rng.standard_normal(d) for _ in range(N)]
     wrong, finished = [], []
 
@@ -246,10 +267,9 @@ def test_finito_operator_table_under_concurrent_evaluation():
         blocks = list(base)
         for _ in range(200):
             blocks[int(r.integers(N))] = r.standard_normal(d)
-            x = BlockVector(b.family.layout, tuple(blocks))
-            mc = _mean_corrected_by_running_sum(fs, gamma, x)
+            x = BlockVector(op.layout, tuple(blocks))
             j = int(r.integers(N))
-            if op.block(x, j).tobytes() != (x.blocks[j] - mc).tobytes():
+            if op.block(x, j).tobytes() != reference(x, j).tobytes():
                 wrong.append((seed, j))
         finished.append(seed)
 
@@ -265,6 +285,36 @@ def test_finito_operator_table_under_concurrent_evaluation():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == [0, 1, 2, 3] and wrong == []
+
+
+class _CountingQuadratic(Quadratic):
+    calls = 0
+
+    def grad(self, z):
+        _CountingQuadratic.calls += 1
+        return super().grad(z)
+
+
+@pytest.mark.parametrize("mode, bound", [("zero", 1.0), ("uniform-random", 2.0)])
+def test_finito_step_recomputes_only_the_moved_rows(mode, bound):
+    # an engine step moves one copy, so the table recomputes about one
+    # gradient per step; a read that copies its blocks would recompute all N
+    N, d, steps = 12, 3, 300
+    rng = np.random.default_rng(17)
+    fs = [_CountingQuadratic(rng.standard_normal(d), curvature=float(c))
+          for c in rng.uniform(0.5, 2.0, N)]
+    b = build_finito(fs)
+    tau = 0 if mode == "zero" else 3
+    sched = DelaySchedule(tau_p=tau, tau_d=0, mode=mode, m=N, n=1,
+                          rng=substream(3, "delays"))
+    state = init_state(b.family, BlockVector.zeros(b.family.layout), tau_p=tau,
+                       rng=substream(3, "sampling"))
+    # the first evaluation fills every row
+    step(state, b.law, b.graph, sched, b.steps)
+    _CountingQuadratic.calls = 0
+    for _ in range(steps):
+        step(state, b.law, b.graph, sched, b.steps)
+    assert _CountingQuadratic.calls / steps <= bound
 
 
 def test_finito_coherence_and_root_consensus(ridge_prob, ridge_fs):

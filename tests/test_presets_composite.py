@@ -89,9 +89,6 @@ def test_coordinate_saga_m1_reduces_to_saga_bitwise():
         def __init__(self, f):
             self.f = f
 
-        def grad_full(self, blocks):
-            return [self.f.grad(blocks[0])]
-
         def grad_block(self, blocks, j):
             return self.f.grad(blocks[0])
 
