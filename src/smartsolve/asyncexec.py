@@ -26,7 +26,7 @@ import numpy as np
 from .blockspace import BlockVector
 from .engine import DualTable, _apply, _plan, _residual
 from .operators import OperatorFamily
-from .sampling import SamplingLaw, TriggerGraph, draw, substream
+from .sampling import SamplingLaw, TriggerGraph, draw_stream, substream
 from .schedule import MAX_DELAY, ReplayLog, ReplayRecord
 
 __all__ = ["AsyncConfig", "AsyncResult", "run_async"]
@@ -119,11 +119,12 @@ def _read_snapshot(shared: _Shared, needed):
 def _worker(shared: _Shared, wid: int, rng):
     family, law, graph = shared.family, shared.law, shared.graph
     cfg = shared.config
+    draws = draw_stream(law, rng)
     try:
         while True:
             if shared.stopped is not None:
                 return
-            blocks, i_k, eps = draw(law, rng)
+            blocks, i_k, eps = next(draws)
             if not blocks:
                 with shared.lock:
                     if shared.stopped is not None:

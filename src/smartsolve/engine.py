@@ -28,6 +28,19 @@ for one full refresh per cycle of its cyclic dual delay, not one per
 iteration.  A replay takes its delays from the log and never skips, yet
 reproduces such a run byte for byte.
 
+A step that is not a replay takes its draw from one
+:func:`~smartsolve.sampling.draw_stream` kept on the state, which makes the
+draws of a fixed-count law in chunks, ahead of use.  A run's draws are those
+of repeated ``draw`` calls, but a run that stops on its residual leaves the
+caller's rng up to a chunk further on.  No caller reads that rng again: the
+command line, the verifiers and the benchmark pass each run a fresh
+substream.
+
+Under the ``zero`` delay schedule a step reads the current iterate and the
+current dual state directly and records one shared read-only zero delay
+vector.  A family with no supported dual entry reads the current (all-zero)
+dual state under any schedule.
+
 The engine is strictly single-threaded; all asynchrony is simulated through
 the delay schedule.  Runs record their draws and delays, and a recorded run
 replays bit-identically, which is the audit path for the threaded executor.
@@ -35,6 +48,7 @@ replays bit-identically, which is the audit path for the threaded executor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +56,7 @@ import numpy as np
 from .blockspace import BlockVector
 from .diagnostics import residual
 from .operators import OperatorFamily
-from .sampling import SamplingLaw, TriggerGraph, draw
+from .sampling import SamplingLaw, TriggerGraph, draw_stream
 from .schedule import DelaySchedule, HistoryBuffer, ReplayLog, ReplayRecord, delayed_read
 
 __all__ = [
@@ -177,6 +191,8 @@ class SmartState:
     rng: np.random.Generator = None
     # (law, graph, whether every commit under them overwrites the whole table)
     full_refresh: tuple = field(default=None, repr=False)
+    # (law, its draw stream on ``rng``); a step under another law starts a new one
+    draws: tuple = field(default=None, repr=False)
 
     @property
     def x(self) -> BlockVector:
@@ -197,6 +213,14 @@ def init_state(
     primal = HistoryBuffer(tau_p + 1, tuple(x0.blocks))
     dual = HistoryBuffer(tau_d + 1, table.current)
     return SmartState(family, primal, dual, table, k=0, rng=rng)
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_delays(m: int) -> np.ndarray:
+    """The read-only primal delays recorded by every step that reads the current state."""
+    d = np.zeros(m, dtype=np.int64)
+    d.setflags(write=False)
+    return d
 
 
 def _resolve_dual_reads(state: SmartState, k: int, e, i_k: int):
@@ -300,12 +324,18 @@ def step(
     """
     family = state.family
     k = state.k
+    table = state.dual_table
     if forced_draw is not None:
         blocks, i_k, eps = forced_draw
     else:
-        blocks, i_k, eps = draw(law, state.rng)
+        if state.draws is None or state.draws[0] is not law:
+            state.draws = (law, draw_stream(law, state.rng))
+        blocks, i_k, eps = next(state.draws[1])
+    direct = forced_delays is None and sched.mode == "zero"
     if forced_delays is not None:
         d, e = forced_delays
+    elif direct:
+        d, e = _zero_delays(family.m), 0
     else:
         d, e = sched.primal_delays(k), sched.dual_delays(k)
 
@@ -313,8 +343,13 @@ def step(
     cur = state.primal_hist.latest()
 
     if blocks:
-        x_read = BlockVector._unchecked(family.layout, delayed_read(state.primal_hist, k, d))
-        y_ik, ysum = _resolve_dual_reads(state, k, e, i_k)
+        read = cur if direct else delayed_read(state.primal_hist, k, d)
+        x_read = BlockVector._unchecked(family.layout, read)
+        if direct or not table.supported:
+            Y, ysum = table.current
+            y_ik = Y[i_k]
+        else:
+            y_ik, ysum = _resolve_dual_reads(state, k, e, i_k)
         refresh = state.full_refresh
         if refresh is None or refresh[0] is not law or refresh[1] is not graph:
             refresh = state.full_refresh = (
@@ -326,7 +361,6 @@ def step(
         commit = eps and not unread
         needed, write_at = _plan(family, graph, blocks, i_k, commit)
         evals = {(i, j): family.ops[i].block(x_read, j) for i, j in needed}
-        table = state.dual_table
         new_row, writes = _apply(family, law, k, cur, blocks, i_k, evals, y_ik, ysum, lam,
                                  write_at, table.slices)
         state.primal_hist.push(tuple(new_row))
@@ -334,9 +368,8 @@ def step(
     else:
         # legal empty draw: the iteration counts but nothing moves
         state.primal_hist.push(cur)
-        state.dual_hist.push(state.dual_table.current)
-        d = np.zeros(family.m, dtype=np.int64)
-        e = 0
+        state.dual_hist.push(table.current)
+        d, e = _zero_delays(family.m), 0
 
     state.k = k + 1
     return ReplayRecord(
@@ -420,7 +453,8 @@ def run(
     ``oracle``, when given, must expose ``dist_sq(x)``; its values land in
     the trace.  ``replay`` substitutes recorded draws and delays for fresh
     ones, reproducing a recorded run exactly.  The returned log replays the
-    run that was just performed.
+    run that was just performed.  Draws come in chunks (see the module
+    docstring), so ``rng`` may end up further on than the run's draws need.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")

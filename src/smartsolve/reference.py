@@ -2,17 +2,19 @@
 
 Each function here implements one published update formula directly, with
 its own state and no engine machinery: these are the independent sides of
-the engine-vs-clone equivalence checks.  They share the sampling ``draw``
-so both sides consume one rng stream identically; everything downstream of
-the draw is written out by hand.
+the engine-vs-clone equivalence checks.  They share the sampling
+``draw_stream`` so both sides consume one rng stream identically; everything
+downstream of the draw is written out by hand.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .engine import RESUM_EVERY
-from .sampling import SamplingLaw, TriggerGraph, draw
+from .sampling import SamplingLaw, TriggerGraph, draw_stream
 
 __all__ = [
     "saga_clone",
@@ -32,8 +34,7 @@ def saga_clone(fs, x0, lam, law: SamplingLaw, rng, iters: int):
     y = np.array([f.grad(x) for f in fs])
     ysum = np.sum(y, axis=0)
     out = [x.copy()]
-    for k in range(iters):
-        _, i, _ = draw(law, rng)
+    for k, (_, i, _) in enumerate(islice(draw_stream(law, rng), iters)):
         g = fs[i].grad(x)
         a = 1.0 / (N * law.p[i, 0])
         x = x - lam * (a * g - a * y[i] + ysum / N)
@@ -53,8 +54,7 @@ def svrg_avg_clone(fs, x0, lam, law: SamplingLaw, rng, iters: int):
     y = np.array([f.grad(x) for f in fs])
     ysum = np.sum(y, axis=0)
     out = [x.copy()]
-    for _ in range(iters):
-        _, i, eps = draw(law, rng)
+    for _, i, eps in islice(draw_stream(law, rng), iters):
         g = fs[i].grad(x)
         x_prev = x
         x = x - lam * (g - y[i] + ysum / N)
@@ -78,8 +78,7 @@ def svrg_sched_clone(fs, x0, lam, tau, law: SamplingLaw, rng, iters: int):
     x_prev = x
     N = len(fs)
     out = [x.copy()]
-    for k in range(iters):
-        _, i, _ = draw(law, rng)
+    for k, (_, i, _) in enumerate(islice(draw_stream(law, rng), iters)):
         if k % (tau + 1) == 0:
             y = np.array([f.grad(x_prev) for f in fs])
             ysum = np.sum(y, axis=0)
@@ -103,8 +102,7 @@ def finito_clone(fs, x0_copies, lam, gamma, law: SamplingLaw, rng, iters: int):
     for l in range(N):
         C[l + 1] = X[l] - gamma * fs[l].grad(X[l])
     out = [X.copy()]
-    for _ in range(iters):
-        blocks, _, _ = draw(law, rng)
+    for blocks, _, _ in islice(draw_stream(law, rng), iters):
         j = blocks[0]
         corrected = np.add.accumulate(C, axis=0)[-1]
         X[j] = (1.0 - lam) * X[j] + (lam / N) * corrected
@@ -119,8 +117,7 @@ def sdca_clone(fs, x0_copies, lam, mu0, law: SamplingLaw, rng, iters: int):
     N = X.shape[0]
     gamma = mu0 * N
     out = [X.copy()]
-    for _ in range(iters):
-        blocks, _, _ = draw(law, rng)
+    for blocks, _, _ in islice(draw_stream(law, rng), iters):
         j = blocks[0]
         v = X[j] - X.sum(axis=0)
         # prox of f_j^*(-.) at v via the conjugate identity
@@ -136,8 +133,7 @@ def kaczmarz_clone(A, b, x0, lam, law: SamplingLaw, rng, iters: int):
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x0, dtype=np.float64).copy()
     out = [x.copy()]
-    for _ in range(iters):
-        _, i, _ = draw(law, rng)
+    for _, i, _ in islice(draw_stream(law, rng), iters):
         x = x + lam * (b[i] - float(A[i] @ x)) * A[i]
         out.append(x.copy())
     return out
@@ -164,8 +160,7 @@ def super_saga_compressed(
     ybar[N] = (X - W).mean(axis=0)
     ysum = np.sum(ybar, axis=0)
     out = [X.copy()]
-    for _ in range(iters):
-        _, i, eps = draw(law, rng)
+    for _, i, eps in islice(draw_stream(law, rng), iters):
         p_i = law.p[i, 0]
         wbar = W.mean(axis=0)
         if i < N:

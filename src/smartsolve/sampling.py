@@ -21,6 +21,17 @@ conditional is exact; the constructor enforces this.
 All draws consume a caller-owned :class:`numpy.random.Generator`.  Every
 categorical draw spends exactly one uniform through an inverse-CDF lookup,
 so consumption is reproducible across platforms and versions.
+
+A draw does not depend on the iterate, so :func:`draw_stream` makes draws
+ahead of use.  When every draw of a law spends the same number ``c`` of
+uniforms (single-block, fixed-size-k, and independent-bernoulli with every
+``q_j = 1``; one more with a dual coin), the stream fills ``CHUNK`` draws
+from one ``rng.random((CHUNK, c))`` call with vectorised inverse-CDF
+lookups.  numpy's ``Generator`` gives the same doubles for one
+``random(K)`` call as for ``K`` ``random()`` calls, so the stream equals
+repeated :func:`draw` calls draw for draw; any other law is streamed
+through :func:`draw` itself.  A consumer that stops early leaves the
+generator up to ``CHUNK - 1`` draws further on than :func:`draw` would.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ __all__ = [
     "SamplingLaw",
     "TriggerGraph",
     "draw",
+    "draw_stream",
     "trigger_prob",
     "importance_law",
     "substream",
@@ -43,6 +55,9 @@ BLOCK_MODES = ("single-block", "independent-bernoulli", "fixed-size-k")
 # named sub-streams: one root seed fans out to independent generators so the
 # sampling, delay and problem-generation randomness stay mutually independent
 _STREAM_TAGS = {"sampling": 1, "delays": 2, "problem": 3, "init": 4, "verify": 5}
+
+# draws that one generator call of a fixed-count draw stream makes
+CHUNK = 256
 
 
 def substream(seed: int, name: str, index: int = 0) -> np.random.Generator:
@@ -250,6 +265,69 @@ def draw(law: SamplingLaw, rng: np.random.Generator):
     else:
         eps = 1 if rng.random() < law.rho else 0
     return blocks, i, eps
+
+
+def _uniforms_per_draw(law: SamplingLaw) -> int | None:
+    """Uniforms that every :func:`draw` of ``law`` spends, None when the count varies."""
+    coin = 0 if law.rho >= 1.0 else 1
+    if law.block_mode == "single-block":
+        return 2 + coin
+    if law.block_mode == "fixed-size-k" or bool(np.all(law.q >= 1.0)):
+        return law.m + 1 + coin
+    return None
+
+
+def _categoricals(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_categorical` of each uniform in ``u``; ``cdfs`` is one CDF or one row per uniform.
+
+    The count of CDF entries at most ``u * cdf[-1]`` is ``searchsorted``'s
+    right-side index, as the CDFs are nondecreasing.
+    """
+    cdfs = np.atleast_2d(cdfs)
+    idx = (cdfs <= (u * cdfs[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(idx, cdfs.shape[1] - 1)
+
+
+def _chunk(law: SamplingLaw, rng: np.random.Generator, width: int) -> list:
+    """The next ``CHUNK`` draws of a law spending ``width`` uniforms per draw."""
+    u = rng.random((CHUNK, width))
+    m = law.m
+    if law.block_mode == "single-block":
+        picked, col = _categoricals(law.q_cdf, u[:, 0])[:, None], 1
+    else:
+        k = law.subset_size if law.block_mode == "fixed-size-k" else m
+        picked, col = np.sort(np.argpartition(u[:, :m], k - 1, axis=1)[:, :k], axis=1), m
+    blocks = [tuple(row) for row in picked.tolist()]
+    if picked.shape[1] == 1:
+        cdfs = law.p_cdf[picked[:, 0]]
+    else:
+        # draw's mixture expression: a mean of equal columns can round away from one
+        mixtures = {}
+        for b in blocks:
+            if b not in mixtures:
+                mixtures[b] = np.cumsum(law.p[:, list(b)].mean(axis=1))
+        cdfs = np.stack([mixtures[b] for b in blocks])
+    ops = _categoricals(cdfs, u[:, col]).tolist()
+    if law.rho >= 1.0:
+        coins = [1] * CHUNK
+    else:
+        coins = (u[:, col + 1] < law.rho).astype(np.int64).tolist()
+    return list(zip(blocks, ops, coins))
+
+
+def draw_stream(law: SamplingLaw, rng: np.random.Generator):
+    """Endless iterator of joint samples, equal draw for draw to calls of :func:`draw`.
+
+    A law whose draws all spend the same number of uniforms is drawn
+    ``CHUNK`` at a time (see the module docstring); any other law one
+    :func:`draw` call at a time.
+    """
+    width = _uniforms_per_draw(law)
+    if width is None:
+        while True:
+            yield draw(law, rng)
+    while True:
+        yield from _chunk(law, rng, width)
 
 
 def trigger_prob(law: SamplingLaw, graph: TriggerGraph, i: int, j: int) -> float:

@@ -387,3 +387,36 @@ def test_run_rejects_a_negative_budget_and_a_stride_below_one(kwargs):
     with pytest.raises(ValueError, match="max_iters|trace_stride"):
         run(BlockVector(fam.layout, (np.ones(1),)), fam, trivial_law(), TriggerGraph.self_loops(1),
             DelaySchedule.zero(1, 1), StepSizes.constant(0.5), **kwargs)
+
+
+def _draws_and_delays(log):
+    return [(r.blocks, r.op_index, r.eps, r.d.tolist(), np.asarray(r.e).tolist()) for r in log]
+
+
+@pytest.mark.parametrize("preset", ["saga", "finito", "super-saga", "svrg-avg"])
+def test_run_equals_a_hand_loop_of_steps_and_repeated_draws(preset):
+    # svrg-avg's law has rho < 1; 600 iterations span three draw chunks
+    b = bundle_for(preset, seed=0)
+    fam, iters = b.family, 600
+    x0 = BlockVector.zeros(fam.layout)
+    res = run(x0, fam, b.law, b.graph, b.schedule, b.steps, max_iters=iters,
+              rng=substream(4, "sampling"), dual_init=b.dual_init)
+    state = init_state(fam, x0, tau_p=b.schedule.tau_p, tau_d=b.schedule.tau_d,
+                       rng=substream(4, "sampling"), dual_init=b.dual_init)
+    recs = [step(state, b.law, b.graph, b.schedule, b.steps) for _ in range(iters)]
+    assert _draws_and_delays(recs) == _draws_and_delays(res.log)
+    for got, want in zip(state.x.blocks, res.x.blocks):
+        np.testing.assert_array_equal(got, want)
+    rng = substream(4, "sampling")
+    assert [draw(b.law, rng) for _ in range(iters)] == \
+        [(r.blocks, r.op_index, r.eps) for r in res.log]
+
+
+def test_zero_mode_records_share_one_read_only_delay_vector():
+    b = bundle_for("finito", seed=0)
+    fam = b.family
+    res = run(BlockVector.zeros(fam.layout), fam, b.law, b.graph, DelaySchedule.zero(fam.m, fam.n),
+              b.steps, max_iters=50, rng=substream(2, "sampling"))
+    d = res.log.records[0].d
+    assert all(r.d is d and r.e == 0 for r in res.log)
+    assert d.shape == (fam.m,) and not d.any() and not d.flags.writeable

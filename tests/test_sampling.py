@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartsolve.instances import bundle_for
 from smartsolve.problems import ridge
 from smartsolve.sampling import (
+    CHUNK,
     SamplingLaw,
     TriggerGraph,
     draw,
+    draw_stream,
     importance_law,
     min_trigger_prob,
     substream,
@@ -198,6 +202,23 @@ def test_draw_with_stored_cdfs_equals_the_per_call_formula(law, seed, count):
     assert rng_a.random() == rng_b.random()
 
 
+@settings(max_examples=40, deadline=None)
+@given(sampling_laws(), st.integers(0, 2**32 - 1), st.integers(1, 3 * CHUNK))
+@example(SamplingLaw(q=np.ones(3), p=np.full((4, 3), 0.25), rho=0.5,
+                     block_mode="independent-bernoulli"), 0, CHUNK + 1)
+@example(SamplingLaw(q=np.full(5, 0.6), p=np.full((3, 5), 1 / 3), rho=1.0,
+                     block_mode="fixed-size-k", subset_size=3), 1, 2 * CHUNK)
+def test_draw_stream_equals_repeated_per_call_draws(law, seed, count):
+    rng_a, rng_b = substream(seed, "sampling"), substream(seed, "sampling")
+    stream = draw_stream(law, rng_a)
+    for _ in range(count):
+        assert next(stream) == _draw_with_per_call_cdfs(law, rng_b)
+    # at the end of a chunk both generators sit at the same position
+    for _ in range(-count % CHUNK):
+        assert next(stream) == _draw_with_per_call_cdfs(law, rng_b)
+    assert rng_a.random() == rng_b.random()
+
+
 def test_substreams_are_independent_and_named():
     a = substream(5, "sampling").random(4)
     b = substream(5, "delays").random(4)
@@ -237,17 +258,15 @@ def test_trigger_prob_monte_carlo_agreement():
     n = 6
     law = uniform_single_block_law(n, 1)
     draws = 100_000
-    rng = substream(11, "sampling")
+    # one stream over the four graphs: its draws are those of repeated
+    # ``draw(law, rng)`` calls
+    stream = draw_stream(law, substream(11, "sampling"))
     for graph in (TriggerGraph.self_loops(n), TriggerGraph.complete(n),
                   TriggerGraph.star_into_last(n), TriggerGraph.ring_into(n, 3)):
         target = 4  # an arbitrary dual index
         p_t = trigger_prob(law, graph, target, 0)
         triggers = set(graph.triggers_of(target))
-        hits = 0
-        for _ in range(draws):
-            _, i, _ = draw(law, rng)
-            if i in triggers:
-                hits += 1
+        hits = sum(i in triggers for _, i, _ in itertools.islice(stream, draws))
         sigma = np.sqrt(p_t * (1 - p_t) * draws) if 0 < p_t < 1 else 0.0
         assert abs(hits - p_t * draws) <= max(3 * sigma, 1e-9)
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from smartsolve.blockspace import BlockLayout
 from smartsolve.instances import bundle_for
+from smartsolve.operators import BlockOperator, OperatorFamily
+from smartsolve.sampling import SamplingLaw, TriggerGraph
 from smartsolve.problems import linear_system, ridge, ridge_terms
 from smartsolve.stepsize import RatePlan, linear_bound, table1_preset, weak_bound
 
@@ -172,3 +175,56 @@ def test_table_sdca_altproj_proxsaga_rows():
 def test_table_unknown_name():
     with pytest.raises(KeyError):
         table1_preset("NotAMethod")
+
+
+def toy_family(star_zero):
+    """Two operators on two one-dimensional blocks, every beta 1, mu 1/2.
+
+    The law has q = (1/4, 3/4) and p[:, 0] = (1/2, 1/2), p[:, 1] = (1/4, 3/4),
+    so q_lo = 1/4, and under the complete graph every trigger probability
+    is q_j, whose minimum 1/4 caps eta.
+    """
+    layout = BlockLayout((1, 1))
+    op = BlockOperator(layout, block=lambda x, j: x.blocks[j])
+    fam = OperatorFamily(layout, [op, op], np.ones((2, 2)), np.full((2, 2), not star_zero),
+                         mu=0.5)
+    law = SamplingLaw(q=np.array([0.25, 0.75]), p=np.array([[0.5, 0.25], [0.5, 0.75]]),
+                      rho=1.0)
+    return fam, law, TriggerGraph.complete(2)
+
+
+# n = m = 2, m_hi = 1: core = n^2 p_ij beta_ij is smallest, 1, at (0, 1).
+# tau_p = 2, tau_d = 0 with star-zero: den = 3 tau_p / (m sqrt q_lo) + 2 / (m q_lo)
+# = 6 + 4, bound 2 core / den = 1/5; without: den = tau_p sqrt(2 (tau_d + 2)) /
+# (m sqrt q_lo) + (tau_d + 2) / (m q_lo) = 4 + 4, bound core / den = 1/8.
+# Without delays the first terms vanish: 2/4 and 1/4.
+@pytest.mark.parametrize("star_zero, taus, expect", [
+    (True, (2, 0), 0.2), (False, (2, 0), 0.125), (True, (0, 0), 0.5), (False, (0, 0), 0.25),
+])
+def test_weak_bound_exact_on_a_toy_family(star_zero, taus, expect):
+    fam, law, _ = toy_family(star_zero)
+    assert weak_bound(fam, law, *taus) == pytest.approx(expect, rel=1e-14)
+
+
+# eta = 1/4, alpha = 1/2, mu = 1/2.  Synchronous: core = beta n^2 p_ij q_j is
+# smallest, 1/2, at (i, 0); star-zero gives lam = (1 - alpha) core m / m_hi = 1/2,
+# otherwise eta (1 - alpha) core m / (2 eta + 2 mu alpha (1 - alpha) core) = 1/5;
+# factor = 1 - 2 alpha mu lam / m.  With tau_p = 1, tau_d = 0, delta = 0 (the
+# star pattern does not enter): stale = 2 eta (tau_d + 2) / (q_j m) + eta tau_p
+# sqrt(2 (tau_d + 2)) (2 + eta / (1 - eta)) / (m sqrt q_lo) = 1/(2 q_j) + 7/6, and
+# lam = 2 eta (1 - alpha) core / (stale + 4 mu (tau_d + 1) alpha (1 - alpha) core)
+# is smallest at (0, 1): (1/4) / (2/3 + 7/6 + 1/2) = 3/28, over a window of
+# tau_p + 1 = 2: factor = 1 - 2 alpha mu lam / 2 = 109/112.
+@pytest.mark.parametrize("star_zero, taus, expect", [
+    (True, (0, 0), (0.5, 0.875, 1)),
+    (False, (0, 0), (0.2, 0.95, 1)),
+    (True, (1, 0), (3 / 28, 109 / 112, 2)),
+    (False, (1, 0), (3 / 28, 109 / 112, 2)),
+])
+def test_linear_bound_exact_on_a_toy_family(star_zero, taus, expect):
+    fam, law, graph = toy_family(star_zero)
+    lam, factor, window = linear_bound(fam, law, graph, *taus, delta=0,
+                                       plan=RatePlan(eta=0.25, alpha=0.5))
+    assert window == expect[2]
+    assert lam == pytest.approx(expect[0], rel=1e-14)
+    assert factor == pytest.approx(expect[1], rel=1e-14)
